@@ -510,8 +510,8 @@ fn rule_snapshot_complete(ctx: &mut Ctx) {
                 "snapshot-complete",
                 format!(
                     "`impl JobKernel for {}` must define both `snapshot` and `restore` \
-                     (missing: {}); the trait defaults silently discard whole-job progress \
-                     on crash-recovery",
+                     (missing: {}); a job that cannot journal its checkpoint loses \
+                     whole-job progress on crash-recovery",
                     imp.type_name,
                     missing.join(", ")
                 ),

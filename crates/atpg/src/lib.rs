@@ -26,6 +26,6 @@ pub use service::{register_atpg, AtpgJob};
 
 pub use podem::{
     apply_twice, generate_test, generate_test_set, generate_test_set_budgeted,
-    generate_test_set_par, AtpgCheckpoint, AtpgOutcome, AtpgRun, TestSetReport,
+    generate_test_set_par, AtpgCheckpoint, AtpgOutcome, TestSetReport,
 };
 pub use tri::Tri;

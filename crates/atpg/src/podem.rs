@@ -15,7 +15,7 @@
 use crate::tri::{eval_tri, Tri};
 use dynmos_netlist::{Network, NetworkFault, PackedEvaluator};
 use dynmos_protest::{
-    env_budget_ms, plan_shards, run_sharded, FaultEntry, Json, Parallelism, RunBudget, RunStatus,
+    drive, plan_shards, run_sharded, Checkpoint, FaultEntry, Json, Parallelism, Run, RunBudget,
     ShardPlan, StopReason,
 };
 
@@ -384,35 +384,12 @@ pub fn generate_test_set_par(
     max_backtracks: u64,
     parallelism: Parallelism,
 ) -> TestSetReport {
-    if let Some(ms) = env_budget_ms() {
-        // The CI knob: run the generation as an interrupt/resume loop
-        // with a per-leg deadline. The fault walk is serial and
-        // restarts exactly where it stopped, so the report is
-        // identical to the uninterrupted run's.
-        let leg = || RunBudget::deadline_in(std::time::Duration::from_millis(ms));
-        let mut run =
-            generate_test_set_budgeted(net, faults, max_backtracks, parallelism, &leg(), None);
-        while let Some(cp) = run.checkpoint.take() {
-            run = generate_test_set_budgeted(
-                net,
-                faults,
-                max_backtracks,
-                parallelism,
-                &leg(),
-                Some(cp),
-            );
-        }
-        return run.report;
-    }
-    generate_test_set_budgeted(
-        net,
-        faults,
-        max_backtracks,
-        parallelism,
-        &RunBudget::unlimited(),
-        None,
-    )
-    .report
+    // Under `DYNMOS_BUDGET_MS` this is an interrupt/resume loop; the
+    // fault walk is serial and restarts exactly where it stopped, so
+    // the report is identical to the uninterrupted run's.
+    drive(|budget, resume| {
+        generate_test_set_budgeted(net, faults, max_backtracks, parallelism, budget, resume)
+    })
 }
 
 /// Resumable state of an interrupted [`generate_test_set_budgeted`]
@@ -426,18 +403,12 @@ pub struct AtpgCheckpoint {
     aborted: Vec<String>,
 }
 
-impl AtpgCheckpoint {
-    /// How many fault-list entries the run has walked past.
-    pub fn faults_done(&self) -> usize {
-        self.next_fault
-    }
-
-    /// The checkpoint as a JSON object. Tests serialize as `'0'`/`'1'`
-    /// bit strings (the same encoding the service's `atpg` output
-    /// uses), coverage flags as booleans — everything round-trips
-    /// exactly through [`AtpgCheckpoint::from_json`], so a resumed
-    /// walk's report is unchanged.
-    pub fn to_json(&self) -> Json {
+/// Tests serialize as `'0'`/`'1'` bit strings (the same encoding the
+/// service's `atpg` output uses), coverage flags as booleans —
+/// everything round-trips exactly, so a resumed walk's report is
+/// unchanged.
+impl Checkpoint for AtpgCheckpoint {
+    fn to_json(&self) -> Json {
         let bits = |t: &Vec<bool>| {
             Json::str(
                 t.iter()
@@ -462,13 +433,7 @@ impl AtpgCheckpoint {
         ])
     }
 
-    /// Rebuilds a checkpoint from [`AtpgCheckpoint::to_json`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for missing/mistyped fields, a wrong `kind`,
-    /// or a test string containing anything but `'0'`/`'1'`.
-    pub fn from_json(v: &Json) -> Result<Self, String> {
+    fn from_json(v: &Json) -> Result<Self, String> {
         if v.get("kind").and_then(Json::as_str) != Some("atpg") {
             return Err("not an atpg checkpoint".into());
         }
@@ -522,29 +487,14 @@ impl AtpgCheckpoint {
     }
 }
 
-/// Outcome of a budgeted PODEM whole-list run: the (possibly partial)
-/// report, whether it finished, and — when interrupted — the
-/// checkpoint to resume from.
-#[derive(Debug, Clone)]
-pub struct AtpgRun {
-    /// Tests, redundancies and aborts accumulated so far. Partial
-    /// reports are valid prefixes of the complete run's.
-    pub report: TestSetReport,
-    /// [`RunStatus::Completed`], or why the walk stopped.
-    pub status: RunStatus,
-    /// Present exactly when interrupted; feed it back as `resume` to
-    /// continue. The completed resumed run's report is identical to an
-    /// uninterrupted run's.
-    pub checkpoint: Option<AtpgCheckpoint>,
-}
-
 /// [`generate_test_set_par`] under a [`RunBudget`], optionally resuming
 /// from a prior run's checkpoint. The budget is checked between target
 /// faults (one PODEM search plus one dropping pass is the atom of
 /// work), after at least one has been processed — forward progress, so
 /// a resume loop under an always-expired budget still terminates. The
 /// walk is deterministic, so interruption points never change the
-/// final report.
+/// final report; a partial report is a valid prefix of the complete
+/// run's.
 ///
 /// # Panics
 ///
@@ -556,7 +506,7 @@ pub fn generate_test_set_budgeted(
     parallelism: Parallelism,
     run_budget: &RunBudget,
     resume: Option<AtpgCheckpoint>,
-) -> AtpgRun {
+) -> Run<TestSetReport, AtpgCheckpoint> {
     // One compiled evaluator and one prepared fault apiece serve the
     // whole dropping loop; each new test diffs only the still-uncovered
     // faults, and only their fanout cones.
@@ -647,30 +597,26 @@ pub fn generate_test_set_budgeted(
         }
     }
     match stop {
-        Some((next_fault, reason)) => AtpgRun {
-            report: TestSetReport {
+        Some((next_fault, reason)) => {
+            let report = TestSetReport {
                 tests: tests.clone(),
                 redundant: redundant.clone(),
                 aborted: aborted.clone(),
-            },
-            status: RunStatus::Interrupted(reason),
-            checkpoint: Some(AtpgCheckpoint {
+            };
+            let checkpoint = AtpgCheckpoint {
                 next_fault,
                 covered,
                 tests,
                 redundant,
                 aborted,
-            }),
-        },
-        None => AtpgRun {
-            report: TestSetReport {
-                tests,
-                redundant,
-                aborted,
-            },
-            status: RunStatus::Completed,
-            checkpoint: None,
-        },
+            };
+            Run::interrupted(report, reason, checkpoint)
+        }
+        None => Run::completed(TestSetReport {
+            tests,
+            redundant,
+            aborted,
+        }),
     }
 }
 
@@ -700,6 +646,7 @@ mod tests {
     use dynmos_netlist::GateRef;
     use dynmos_protest::network_fault_list;
     use dynmos_protest::FaultSimulator;
+    use dynmos_protest::RunStatus;
 
     #[test]
     fn finds_tests_for_all_fig9_classes() {
@@ -839,7 +786,7 @@ mod tests {
                 RunStatus::Interrupted(StopReason::Cancelled),
                 "leg {legs}"
             );
-            assert!(run.report.tests.len() <= reference.tests.len());
+            assert!(run.output.tests.len() <= reference.tests.len());
             if legs == 3 {
                 flag.store(false, Ordering::Relaxed);
             }
@@ -854,8 +801,8 @@ mod tests {
         }
         assert!(legs >= 3, "expected several interrupted legs, got {legs}");
         assert!(run.status.is_complete());
-        assert_eq!(run.report.tests, reference.tests);
-        assert_eq!(run.report.redundant, reference.redundant);
-        assert_eq!(run.report.aborted, reference.aborted);
+        assert_eq!(run.output.tests, reference.tests);
+        assert_eq!(run.output.redundant, reference.redundant);
+        assert_eq!(run.output.aborted, reference.aborted);
     }
 }

@@ -1,20 +1,16 @@
 //! PODEM as a supervised job: adapts [`generate_test_set_budgeted`] to
-//! the `dynmos_protest::service` [`JobKernel`] contract, so the job
-//! engine supervises deterministic ATPG with the same
+//! the `dynmos_protest::service` [`Kernel`] contract, so the job engine
+//! supervises deterministic ATPG with the same
 //! retry/timeout/checkpoint machinery as the probabilistic kernels.
 //!
-//! The kernel commits its [`AtpgCheckpoint`] only on leg return, and
+//! The engine commits the [`AtpgCheckpoint`] only on leg return, and
 //! the fault walk is deterministic, so a run killed and resumed any
 //! number of times produces the same test set as an uninterrupted one.
 
 use crate::podem::{generate_test_set_budgeted, AtpgCheckpoint, TestSetReport};
-use dynmos_netlist::Network;
-use dynmos_protest::budget::{RunBudget, RunStatus};
-use dynmos_protest::list::FaultEntry;
-use dynmos_protest::parallel::Parallelism;
-use dynmos_protest::service::jobs::param_u64;
-use dynmos_protest::service::{JobContext, JobEngine, JobKernel, Json};
-use std::sync::Arc;
+use dynmos_protest::budget::{Run, RunBudget};
+use dynmos_protest::service::jobs::{param_u64, JobTarget};
+use dynmos_protest::service::{JobContext, JobEngine, Json, Kernel, KernelJob};
 
 /// Default PODEM backtrack budget when the request omits
 /// `max_backtracks`.
@@ -22,68 +18,48 @@ const DEFAULT_BACKTRACKS: u64 = 50;
 
 /// A supervised PODEM whole-list run.
 pub struct AtpgJob {
-    net: Arc<Network>,
-    faults: Vec<FaultEntry>,
-    parallelism: Parallelism,
     max_backtracks: u64,
-    state: Option<AtpgCheckpoint>,
-    started: bool,
-    report: Option<TestSetReport>,
-    complete: bool,
 }
 
 impl AtpgJob {
-    /// Builds the job from a request (`max_backtracks`).
+    /// Reads the request (`max_backtracks`).
     ///
     /// # Errors
     ///
     /// Currently infallible; the `Result` keeps the factory signature
     /// uniform.
-    pub fn from_request(ctx: JobContext<'_>) -> Result<Self, String> {
+    pub fn from_request(ctx: &JobContext<'_>) -> Result<Self, String> {
         Ok(Self {
             max_backtracks: param_u64(ctx.params, "max_backtracks", DEFAULT_BACKTRACKS),
-            net: ctx.net,
-            faults: ctx.faults,
-            parallelism: ctx.parallelism,
-            state: None,
-            started: false,
-            report: None,
-            complete: false,
         })
     }
 }
 
-impl JobKernel for AtpgJob {
-    fn kind(&self) -> &'static str {
-        "atpg"
-    }
+impl Kernel for AtpgJob {
+    type Output = TestSetReport;
+    type Checkpoint = AtpgCheckpoint;
 
-    fn run_leg(&mut self, budget: &RunBudget) -> RunStatus {
-        let resume = match self.state.take() {
-            Some(cp) => Some(cp),
-            None if !self.started => {
-                self.started = true;
-                None
-            }
-            None => return RunStatus::Completed,
-        };
-        let run = generate_test_set_budgeted(
-            &self.net,
-            &self.faults,
+    fn run(
+        &self,
+        t: &JobTarget,
+        budget: &RunBudget,
+        resume: Option<AtpgCheckpoint>,
+    ) -> Run<TestSetReport, AtpgCheckpoint> {
+        generate_test_set_budgeted(
+            &t.net,
+            &t.faults,
             self.max_backtracks,
-            self.parallelism,
+            t.parallelism,
             budget,
             resume,
-        );
-        self.state = run.checkpoint;
-        self.complete = run.status.is_complete();
-        self.report = Some(run.report);
-        run.status
+        )
     }
 
-    fn output(&self) -> Json {
-        let mut members = vec![("kind".into(), Json::str("atpg"))];
-        if let Some(r) = &self.report {
+    fn output_json(&self, kind: &str, output: Option<&TestSetReport>, complete: bool) -> Json {
+        let mut members = vec![("kind".into(), Json::str(kind))];
+        if let Some(r) = output {
+            let labels =
+                |ls: &[String]| Json::Arr(ls.iter().map(|s| Json::str(s.clone())).collect());
             members.push((
                 "tests".into(),
                 Json::Arr(
@@ -100,41 +76,11 @@ impl JobKernel for AtpgJob {
                 ),
             ));
             members.push(("test_count".into(), Json::num(r.tests.len() as u64)));
-            members.push((
-                "redundant".into(),
-                Json::Arr(r.redundant.iter().map(|s| Json::str(s.clone())).collect()),
-            ));
-            members.push((
-                "aborted".into(),
-                Json::Arr(r.aborted.iter().map(|s| Json::str(s.clone())).collect()),
-            ));
+            members.push(("redundant".into(), labels(&r.redundant)));
+            members.push(("aborted".into(), labels(&r.aborted)));
         }
-        members.push(("complete".into(), Json::Bool(self.complete)));
+        members.push(("complete".into(), Json::Bool(complete)));
         Json::Obj(members)
-    }
-
-    fn snapshot(&self) -> Json {
-        Json::Obj(vec![
-            ("started".into(), Json::Bool(self.started)),
-            (
-                "checkpoint".into(),
-                self.state
-                    .as_ref()
-                    .map_or(Json::Null, AtpgCheckpoint::to_json),
-            ),
-        ])
-    }
-
-    fn restore(&mut self, snapshot: &Json) -> Result<(), String> {
-        self.started = snapshot
-            .get("started")
-            .and_then(Json::as_bool)
-            .ok_or("atpg snapshot: bad or missing \"started\"")?;
-        self.state = match snapshot.get("checkpoint") {
-            None | Some(Json::Null) => None,
-            Some(cp) => Some(AtpgCheckpoint::from_json(cp)?),
-        };
-        Ok(())
     }
 }
 
@@ -143,6 +89,6 @@ impl JobKernel for AtpgJob {
 /// registration is explicit.
 pub fn register_atpg(engine: &mut JobEngine) {
     engine.register_kind("atpg", |ctx| {
-        AtpgJob::from_request(ctx).map(|k| Box::new(k) as Box<dyn JobKernel>)
+        KernelJob::build("atpg", ctx, AtpgJob::from_request)
     });
 }

@@ -24,12 +24,20 @@
 //! is done per call before a deadline or cancellation is honored, so a
 //! resume loop under an always-expired budget still terminates.
 //!
-//! The `DYNMOS_BUDGET_MS` environment variable (read by the
-//! budget-less entry points like [`crate::FaultSimulator::run_random`])
-//! forces an interrupt/resume loop with that per-leg deadline — the CI
-//! knob that exercises every checkpoint path while keeping results
-//! bit-identical.
+//! Every resumable kernel has one entry-point shape,
+//! `kernel_budgeted(.., budget, resume: Option<Checkpoint>) -> Run<Output,
+//! Checkpoint>`: `resume: None` starts the walk, `Some(checkpoint)`
+//! continues an interrupted one. The checkpoint's [`Checkpoint`] JSON
+//! codec is also the job snapshot the service journals.
+//!
+//! The `DYNMOS_BUDGET_MS` environment variable (read by [`drive`], which
+//! backs the budget-less entry points like
+//! [`crate::FaultSimulator::run_random`]) forces an interrupt/resume loop
+//! with that per-leg deadline — the CI knob that exercises every
+//! checkpoint path while keeping results bit-identical.
 
+use crate::parallel::ShardError;
+use crate::service::json::Json;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -83,6 +91,121 @@ impl RunStatus {
     /// `true` when the run finished all its work.
     pub fn is_complete(self) -> bool {
         matches!(self, RunStatus::Completed)
+    }
+}
+
+/// A kernel's resumable state. Its JSON form is exact — integers stay
+/// within `2^53` and floats print in shortest round-trip form — so a
+/// run resumed from `from_json(to_json(cp))` equals one resumed from
+/// `cp`. The service journals this form as the job snapshot.
+pub trait Checkpoint: Clone + Send + Sized {
+    /// The checkpoint as a JSON value.
+    fn to_json(&self) -> Json;
+
+    /// Rebuilds a checkpoint from [`Checkpoint::to_json`] output.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message for missing or mistyped fields, or a value
+    /// written by another kernel.
+    fn from_json(v: &Json) -> Result<Self, String>;
+}
+
+/// The checkpoint of a kernel that keeps no resumable state: an
+/// interrupted run restarts from scratch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NoCheckpoint {}
+
+impl Checkpoint for NoCheckpoint {
+    fn to_json(&self) -> Json {
+        match *self {}
+    }
+
+    fn from_json(v: &Json) -> Result<Self, String> {
+        Err(format!("kernel keeps no resumable state, got {v}"))
+    }
+}
+
+/// One budgeted kernel call: the output over the work done so far,
+/// whether the run finished, and — when interrupted — where to resume.
+#[derive(Debug, Clone)]
+pub struct Run<O, C> {
+    /// The result so far. A completed run's output equals the
+    /// unbudgeted run's exactly; an interrupted run's is a valid partial
+    /// result.
+    pub output: O,
+    /// Completed, or interrupted at a chunk boundary.
+    pub status: RunStatus,
+    /// Feed back as `resume` to continue. Present whenever an
+    /// interrupted kernel has resumable state.
+    pub checkpoint: Option<C>,
+    /// `Some` exactly when the status is
+    /// [`RunStatus::Interrupted`]`(`[`StopReason::WorkerFailed`]`)`: the
+    /// shard whose worker panicked twice. The failed chunk was not
+    /// merged — output and checkpoint hold the last chunk boundary, so
+    /// resuming retries it.
+    pub worker_error: Option<ShardError>,
+}
+
+impl<O, C> Run<O, C> {
+    /// A finished run.
+    pub fn completed(output: O) -> Self {
+        Self {
+            output,
+            status: RunStatus::Completed,
+            checkpoint: None,
+            worker_error: None,
+        }
+    }
+
+    /// A run stopped at a clean boundary for `reason`, resumable from
+    /// `checkpoint`.
+    pub fn interrupted(output: O, reason: StopReason, checkpoint: C) -> Self {
+        Self {
+            output,
+            status: RunStatus::Interrupted(reason),
+            checkpoint: Some(checkpoint),
+            worker_error: None,
+        }
+    }
+
+    /// The same run with its output transformed.
+    pub fn map<P>(self, f: impl FnOnce(O) -> P) -> Run<P, C> {
+        Run {
+            output: f(self.output),
+            status: self.status,
+            checkpoint: self.checkpoint,
+            worker_error: self.worker_error,
+        }
+    }
+}
+
+/// Drives a resumable kernel to completion and returns its output:
+/// one unlimited call, or — when `DYNMOS_BUDGET_MS` is set — an
+/// interrupt/resume loop with that per-leg deadline, which returns the
+/// identical output. `leg(budget, resume)` is the kernel's budgeted
+/// entry point.
+///
+/// # Panics
+///
+/// Panics when a worker failed even its serial retry (the panicking
+/// contract of the budget-less entry points), or when
+/// `DYNMOS_BUDGET_MS` is garbage.
+pub fn drive<O, C>(mut leg: impl FnMut(&RunBudget, Option<C>) -> Run<O, C>) -> O {
+    let env_ms = env_budget_ms();
+    let budget = || match env_ms {
+        Some(ms) => RunBudget::deadline_in(Duration::from_millis(ms)),
+        None => RunBudget::unlimited(),
+    };
+    let mut run = leg(&budget(), None);
+    loop {
+        if let Some(e) = &run.worker_error {
+            panic!("{e}");
+        }
+        match run.checkpoint.take() {
+            Some(cp) => run = leg(&budget(), Some(cp)),
+            None => return run.output,
+        }
     }
 }
 

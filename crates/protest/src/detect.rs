@@ -12,9 +12,10 @@
 //! sweeps reuse one detector (and its prepared faults) across hundreds of
 //! objective evaluations.
 
-use crate::budget::{RunBudget, StopReason};
+use crate::budget::{Run, RunBudget, RunStatus, StopReason};
 use crate::list::FaultEntry;
 use crate::parallel::{plan_shards, run_sharded, Parallelism, ShardPlan};
+use crate::testability::{DetectionEngine, TestabilityCheckpoint, TestabilityConfig};
 use dynmos_netlist::{Network, NetworkFault, PackedEvaluator, PreparedFault};
 
 /// How a [`DetectionEstimate`] was computed — the engine tier that
@@ -418,50 +419,51 @@ impl<'n> ExactDetector<'n> {
     }
 }
 
-/// Detection probabilities with graceful exact→Monte-Carlo
-/// degradation: the exact enumeration runs when the row space fits
-/// [`RunBudget::effective_exact_rows`]; otherwise the walk is refused
-/// up front and the Monte-Carlo estimator runs instead, with a sample
-/// budget tied to the refused enumeration size (the row cap clamped to
-/// `[2^12, 2^20]` samples). Each returned [`DetectionEstimate`] labels
-/// which path produced it, so callers can report standard errors for
-/// sampled values. A deadline/cancellation interrupt in either path
-/// surfaces as `Err(StopReason)`.
+/// Detection probabilities for the whole fault list on the tiered
+/// [`DetectionEngine`] (exact enumeration when the row space fits
+/// [`RunBudget::effective_exact_rows`], otherwise the shared BDD,
+/// degrading per fault to certified cutting bounds), under a
+/// [`RunBudget`] and optionally resuming an interrupted run. Each
+/// returned [`DetectionEstimate`] names the tier that produced it.
+///
+/// The budget is checked at fault boundaries, after at least one fault
+/// has been committed; an interrupted run returns the committed prefix
+/// plus a checkpoint, and a run completed across any number of
+/// interruptions is bit-identical to an uninterrupted one.
 ///
 /// # Panics
 ///
-/// Panics if the arity of `pi_probs` is wrong.
+/// Panics if the arity of `pi_probs` is wrong or `resume` holds more
+/// estimates than `faults` has entries.
 pub fn detection_probability_estimates(
     net: &Network,
     faults: &[FaultEntry],
     pi_probs: &[f64],
-    seed: u64,
+    config: &TestabilityConfig,
     parallelism: Parallelism,
     run_budget: &RunBudget,
-) -> Result<Vec<DetectionEstimate>, StopReason> {
-    let config = crate::testability::TestabilityConfig::from_env().with_seed(seed);
-    detection_probability_estimates_with(net, faults, pi_probs, parallelism, run_budget, &config)
-}
-
-/// [`detection_probability_estimates`] with an explicit engine
-/// configuration — the entry point for callers (and tests) that must pin
-/// a tier regardless of `DYNMOS_TESTABILITY`.
-pub fn detection_probability_estimates_with(
-    net: &Network,
-    faults: &[FaultEntry],
-    pi_probs: &[f64],
-    parallelism: Parallelism,
-    run_budget: &RunBudget,
-    config: &crate::testability::TestabilityConfig,
-) -> Result<Vec<DetectionEstimate>, StopReason> {
+    resume: Option<TestabilityCheckpoint>,
+) -> Run<Vec<DetectionEstimate>, TestabilityCheckpoint> {
     let n = net.primary_inputs().len();
     assert_eq!(pi_probs.len(), n, "need one probability per primary input");
-    if faults.is_empty() {
-        return Ok(Vec::new());
-    }
-    crate::testability::DetectionEngine::new(net, faults, config.clone())
+    let mut done = resume.map_or_else(Vec::new, |cp| cp.estimates);
+    assert!(
+        done.len() <= faults.len(),
+        "checkpoint from a different run"
+    );
+    let start = done.len();
+    let status = DetectionEngine::new(net, faults, config.clone())
         .with_parallelism(parallelism)
-        .estimates(pi_probs, run_budget)
+        .estimates_from(start, pi_probs, run_budget, &mut |_, est| done.push(est));
+    match status {
+        RunStatus::Completed => Run::completed(done),
+        RunStatus::Interrupted(reason) => {
+            let checkpoint = TestabilityCheckpoint {
+                estimates: done.clone(),
+            };
+            Run::interrupted(done, reason, checkpoint)
+        }
+    }
 }
 
 /// The whole-row-space fold the serial path and every fault-axis worker
@@ -745,15 +747,17 @@ mod tests {
         let exact = detection_probabilities(&net, &list, &probs);
         // Pinned Auto config: the test asserts the exact tier even when
         // the suite runs under a DYNMOS_TESTABILITY override.
-        let est = detection_probability_estimates_with(
+        let run = detection_probability_estimates(
             &net,
             &list,
             &probs,
+            &crate::testability::TestabilityConfig::new(crate::testability::TierMode::Auto),
             Parallelism::Serial,
             &RunBudget::unlimited(),
-            &crate::testability::TestabilityConfig::new(crate::testability::TierMode::Auto),
-        )
-        .expect("completes");
+            None,
+        );
+        assert!(run.status.is_complete(), "completes");
+        let est = run.output;
         assert_eq!(est.len(), exact.len());
         for (e, x) in est.iter().zip(&exact) {
             assert_eq!(e.method, EstimateMethod::Exact);
@@ -771,15 +775,17 @@ mod tests {
         let net = and_or_tree(5);
         let list: Vec<_> = network_fault_list(&net).into_iter().take(4).collect();
         let probs = vec![0.5; 32];
-        let est = detection_probability_estimates_with(
+        let run = detection_probability_estimates(
             &net,
             &list,
             &probs,
+            &crate::testability::TestabilityConfig::new(crate::testability::TierMode::Auto),
             Parallelism::Serial,
             &RunBudget::unlimited().with_max_exact_rows(1 << 12),
-            &crate::testability::TestabilityConfig::new(crate::testability::TierMode::Auto),
-        )
-        .expect("completes");
+            None,
+        );
+        assert!(run.status.is_complete(), "completes");
+        let est = run.output;
         assert_eq!(est.len(), list.len());
         for (e, entry) in est.iter().zip(&list) {
             assert_eq!(e.method, EstimateMethod::Bdd, "{}", entry.label);

@@ -8,8 +8,8 @@
 //!
 //! * [`signal_probabilities`] — the fast topological estimator: one forward
 //!   pass, treating each gate's inputs as independent. Exact on fanout-free
-//!   trees; biased under reconvergent fanout (the classic limitation the
-//!   ablation in `EXPERIMENTS.md` quantifies).
+//!   trees; biased under reconvergent fanout (the classic limitation of
+//!   the independence assumption).
 //! * [`exact_signal_probability`] — ground truth by exhaustive weighted
 //!   enumeration of the input space (feasible for the cell- and
 //!   block-sized circuits of the paper).

@@ -28,13 +28,12 @@
 //! **bit-identical to the serial run at any thread count** (see the
 //! determinism contract in [`crate::parallel`]).
 
-use crate::budget::{self, RunBudget, RunStatus, StopReason};
+use crate::budget::{drive, Checkpoint, Run, RunBudget, StopReason};
 use crate::list::FaultEntry;
 use crate::parallel::{plan_shards, try_run_sharded, Parallelism, ShardError, ShardPlan};
 use crate::random::PatternSource;
 use crate::service::json::Json;
 use dynmos_netlist::{Network, PackedEvaluator};
-use std::time::Duration;
 
 /// Stream batches per budgeted chunk (256 batches = 16384 patterns):
 /// the granularity at which budgets are checked and checkpoints land.
@@ -118,9 +117,10 @@ fn merge_min_detection(
 
 /// Resumable state of an interrupted [`FaultSimulator::run_random`]:
 /// the stream position the run started at, how many batches are fully
-/// simulated, and the per-fault detection state so far. Feeding it to
-/// [`FaultSimulator::resume_random`] continues the identical walk — the
-/// completed result is bit-identical to an uninterrupted serial run.
+/// simulated, and the per-fault detection state so far. Feeding it back
+/// as `resume` to [`FaultSimulator::run_random_budgeted`] continues the
+/// identical walk — the completed result is bit-identical to an
+/// uninterrupted serial run.
 #[derive(Debug, Clone)]
 pub struct FsimCheckpoint {
     /// Stream position at the original run's start (batch addressing is
@@ -134,13 +134,8 @@ pub struct FsimCheckpoint {
     detected_at: Vec<Option<u64>>,
 }
 
-impl FsimCheckpoint {
-    /// The checkpoint as a JSON object — every field is exact (counts
-    /// stay within `2^53`, where JSON numbers are integers), so
-    /// [`FsimCheckpoint::from_json`] round-trips bit-identically and a
-    /// resume from the deserialized checkpoint equals a resume from the
-    /// original.
-    pub fn to_json(&self) -> Json {
+impl Checkpoint for FsimCheckpoint {
+    fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("kind".into(), Json::str("fsim")),
             ("start".into(), Json::num(self.start)),
@@ -158,12 +153,7 @@ impl FsimCheckpoint {
         ])
     }
 
-    /// Rebuilds a checkpoint from [`FsimCheckpoint::to_json`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for missing/mistyped fields or a wrong `kind`.
-    pub fn from_json(v: &Json) -> Result<Self, String> {
+    fn from_json(v: &Json) -> Result<Self, String> {
         if v.get("kind").and_then(Json::as_str) != Some("fsim") {
             return Err("not an fsim checkpoint".into());
         }
@@ -192,42 +182,18 @@ impl FsimCheckpoint {
             detected_at,
         })
     }
+}
 
+impl FsimCheckpoint {
     /// Patterns fully simulated so far.
     pub fn patterns_done(&self) -> u64 {
         (self.batches_done * 64).min(self.max_patterns)
-    }
-
-    /// The original run's pattern budget.
-    pub fn max_patterns(&self) -> u64 {
-        self.max_patterns
     }
 
     /// Faults detected so far.
     pub fn detected_count(&self) -> usize {
         self.detected_at.iter().filter(|d| d.is_some()).count()
     }
-}
-
-/// Result of a budgeted fault-simulation call: the outcome over the
-/// patterns actually applied, whether the run completed, and — when
-/// interrupted — the checkpoint to resume from.
-#[derive(Debug, Clone)]
-pub struct BudgetedFsim {
-    /// Detection state over the patterns applied so far (a completed
-    /// run's outcome equals the unbudgeted run's exactly).
-    pub outcome: FsimOutcome,
-    /// Completed, or interrupted at a chunk boundary.
-    pub status: RunStatus,
-    /// `Some` exactly when interrupted: resume with
-    /// [`FaultSimulator::resume_random`].
-    pub checkpoint: Option<FsimCheckpoint>,
-    /// `Some` exactly when the status is
-    /// [`RunStatus::Interrupted`]`(`[`StopReason::WorkerFailed`]`)`: the
-    /// shard whose worker panicked twice. The failed chunk was **not**
-    /// merged — outcome and checkpoint hold the state at the last
-    /// completed chunk boundary, so resuming retries the failed chunk.
-    pub worker_error: Option<ShardError>,
 }
 
 /// Serial-fault, pattern-parallel fault simulator with fault dropping and
@@ -269,8 +235,9 @@ impl<'n> FaultSimulator<'n> {
     /// final cursor) is bit-identical at any thread count on either axis.
     ///
     /// When `DYNMOS_BUDGET_MS` is set, the run is executed as an
-    /// interrupt/resume loop with that per-leg deadline — exercising
-    /// every checkpoint path while returning the identical result.
+    /// interrupt/resume loop with that per-leg deadline (see
+    /// [`drive`]) — exercising every checkpoint path while returning
+    /// the identical result.
     ///
     /// # Panics
     ///
@@ -281,121 +248,68 @@ impl<'n> FaultSimulator<'n> {
         source: &mut PatternSource,
         max_patterns: u64,
     ) -> FsimOutcome {
-        // A worker that failed even its serial retry keeps the
-        // historical panicking contract on this entry point.
-        let check = |run: &BudgetedFsim| {
-            if let Some(e) = &run.worker_error {
-                panic!("{e}");
-            }
-        };
-        if let Some(ms) = budget::env_budget_ms() {
-            let leg = || RunBudget::deadline_in(Duration::from_millis(ms));
-            let mut run = self.run_random_budgeted(faults, source, max_patterns, &leg());
-            check(&run);
-            while let Some(cp) = run.checkpoint.take() {
-                run = self.resume_random(faults, source, cp, &leg());
-                check(&run);
-            }
-            return run.outcome;
-        }
-        let run = self.run_random_budgeted(faults, source, max_patterns, &RunBudget::unlimited());
-        check(&run);
-        run.outcome
+        drive(|budget, resume| {
+            self.run_random_budgeted(faults, source, max_patterns, budget, resume)
+        })
     }
 
-    /// [`Self::run_random`] under a [`RunBudget`]: stops at the first
-    /// chunk boundary past the deadline, cancellation, or per-call
-    /// pattern cap, returning the partial outcome plus a checkpoint to
-    /// [`Self::resume_random`] from. At least one chunk of work is done
-    /// per call (forward progress), and a run completed across any
-    /// number of interruptions is bit-identical to an uninterrupted
-    /// serial run — detection indices, `patterns_applied`, coverage
-    /// curve, and the source's final cursor.
+    /// [`Self::run_random`] under a [`RunBudget`], optionally resuming
+    /// an interrupted run from its checkpoint: stops at the first chunk
+    /// boundary past the deadline, cancellation, or per-call pattern
+    /// cap, returning the partial outcome plus a checkpoint to resume
+    /// from. At least one chunk of work is done per call (forward
+    /// progress), and a run completed across any number of
+    /// interruptions is bit-identical to an uninterrupted serial run —
+    /// detection indices, `patterns_applied`, coverage curve, and the
+    /// source's final cursor.
+    ///
+    /// A resumed run must use the fault list and pattern budget the
+    /// checkpoint was taken with; batch addressing is absolute, so the
+    /// source need only be the same stream (same seed and weights) —
+    /// its cursor is ignored and rewritten.
     ///
     /// # Panics
     ///
-    /// Panics if the source arity does not match the network.
+    /// Panics on source arity mismatch, or if `resume` comes from a run
+    /// over a different fault count or pattern budget.
     pub fn run_random_budgeted(
         &self,
         faults: &[FaultEntry],
         source: &mut PatternSource,
         max_patterns: u64,
         run_budget: &RunBudget,
-    ) -> BudgetedFsim {
+        resume: Option<FsimCheckpoint>,
+    ) -> Run<FsimOutcome, FsimCheckpoint> {
         assert_eq!(
             source.input_count(),
             self.net.primary_inputs().len(),
             "pattern source arity mismatch"
         );
-        if faults.is_empty() {
-            return BudgetedFsim {
-                outcome: FsimOutcome {
-                    detected_at: Vec::new(),
-                    patterns_applied: 0,
-                    coverage_curve: Vec::new(),
-                },
-                status: RunStatus::Completed,
-                checkpoint: None,
-                worker_error: None,
-            };
-        }
-        let checkpoint = FsimCheckpoint {
-            start: source.position(),
-            batches_done: 0,
-            max_patterns,
-            detected_at: vec![None; faults.len()],
-        };
-        self.advance(faults, source, checkpoint, run_budget)
-    }
-
-    /// Continues an interrupted [`Self::run_random_budgeted`] run from
-    /// its checkpoint under a fresh budget. The fault list must be the
-    /// one the checkpoint was taken with; batch addressing is absolute,
-    /// so the source need only be the same stream (same seed and
-    /// weights) — its cursor is ignored and rewritten.
-    ///
-    /// # Panics
-    ///
-    /// Panics on source arity mismatch or if the checkpoint's fault
-    /// count differs from `faults`.
-    pub fn resume_random(
-        &self,
-        faults: &[FaultEntry],
-        source: &mut PatternSource,
-        checkpoint: FsimCheckpoint,
-        run_budget: &RunBudget,
-    ) -> BudgetedFsim {
-        assert_eq!(
-            source.input_count(),
-            self.net.primary_inputs().len(),
-            "pattern source arity mismatch"
-        );
-        assert_eq!(
-            checkpoint.detected_at.len(),
-            faults.len(),
-            "checkpoint fault count mismatch"
-        );
-        self.advance(faults, source, checkpoint, run_budget)
-    }
-
-    /// The chunked walk both entry points share. Each chunk simulates
-    /// only the still-live faults over a fixed batch range and merges
-    /// by the usual order-independent rules, so chunk boundaries are
-    /// invisible to the final state; budget checks happen only between
-    /// chunks, after at least one has run.
-    fn advance(
-        &self,
-        faults: &[FaultEntry],
-        source: &mut PatternSource,
-        checkpoint: FsimCheckpoint,
-        run_budget: &RunBudget,
-    ) -> BudgetedFsim {
         let FsimCheckpoint {
             start,
             mut batches_done,
             max_patterns,
             mut detected_at,
-        } = checkpoint;
+        } = match resume {
+            Some(cp) => {
+                assert_eq!(
+                    (cp.detected_at.len(), cp.max_patterns),
+                    (faults.len(), max_patterns),
+                    "checkpoint from a different run"
+                );
+                cp
+            }
+            None => FsimCheckpoint {
+                start: source.position(),
+                batches_done: 0,
+                max_patterns,
+                detected_at: vec![None; faults.len()],
+            },
+        };
+        // Each chunk simulates only the still-live faults over a fixed
+        // batch range and merges by the usual order-independent rules,
+        // so chunk boundaries are invisible to the final state; budget
+        // checks happen only between chunks, after at least one has run.
         let total_batches = max_patterns.div_ceil(64);
         let threads = self.parallelism.resolve();
         // Unlimited budgets take the historical single-pass path: one
@@ -429,57 +343,32 @@ impl<'n> FaultSimulator<'n> {
             // failed chunk's partial results are discarded whole, the
             // checkpoint stays at the last merged boundary, and a
             // resume (or supervisor retry) replays the failed chunk.
-            match plan_shards(live.len(), span.end - span.start, threads) {
-                ShardPlan::Faults(workers) => {
-                    match try_run_sharded(live.len(), workers, |range| {
-                        self.random_span(
-                            faults,
-                            &live[range],
-                            src,
-                            start,
-                            span.clone(),
-                            max_patterns,
-                        )
-                    }) {
-                        Ok(results) => {
-                            for (&fi, d) in live.iter().zip(results.into_iter().flatten()) {
-                                if d.is_some() {
-                                    detected_at[fi] = d;
-                                }
-                            }
-                        }
-                        Err(e) => {
-                            worker_error = Some(e);
-                            stop = Some(StopReason::WorkerFailed);
-                            break;
+            let sharded = match plan_shards(live.len(), span.end - span.start, threads) {
+                ShardPlan::Faults(workers) => try_run_sharded(live.len(), workers, |range| {
+                    self.random_span(faults, &live[range], src, start, span.clone(), max_patterns)
+                })
+                .map(|results| results.into_iter().flatten().collect()),
+                ShardPlan::Patterns(workers) => {
+                    try_run_sharded((span.end - span.start) as usize, workers, |range| {
+                        let batches =
+                            span.start + range.start as u64..span.start + range.end as u64;
+                        self.random_span(faults, &live, src, start, batches, max_patterns)
+                    })
+                    .map(|spans| merge_min_detection(live.len(), spans))
+                }
+            };
+            match sharded {
+                Ok(merged) => {
+                    for (&fi, d) in live.iter().zip(merged) {
+                        if d.is_some() {
+                            detected_at[fi] = d;
                         }
                     }
                 }
-                ShardPlan::Patterns(workers) => {
-                    match try_run_sharded((span.end - span.start) as usize, workers, |range| {
-                        self.random_span(
-                            faults,
-                            &live,
-                            src,
-                            start,
-                            span.start + range.start as u64..span.start + range.end as u64,
-                            max_patterns,
-                        )
-                    }) {
-                        Ok(spans) => {
-                            for (&fi, d) in live.iter().zip(merge_min_detection(live.len(), spans))
-                            {
-                                if d.is_some() {
-                                    detected_at[fi] = d;
-                                }
-                            }
-                        }
-                        Err(e) => {
-                            worker_error = Some(e);
-                            stop = Some(StopReason::WorkerFailed);
-                            break;
-                        }
-                    }
+                Err(e) => {
+                    worker_error = Some(e);
+                    stop = Some(StopReason::WorkerFailed);
+                    break;
                 }
             }
             batches_done = span.end;
@@ -502,20 +391,20 @@ impl<'n> FaultSimulator<'n> {
         if let Some(reason) = stop {
             let patterns_applied = (batches_done * 64).min(max_patterns);
             source.set_position(start + batches_done);
-            return BudgetedFsim {
-                outcome: FsimOutcome {
-                    coverage_curve: curve_from(&detected_at, patterns_applied),
-                    detected_at: detected_at.clone(),
-                    patterns_applied,
-                },
-                status: RunStatus::Interrupted(reason),
-                checkpoint: Some(FsimCheckpoint {
-                    start,
-                    batches_done,
-                    max_patterns,
-                    detected_at,
-                }),
+            let outcome = FsimOutcome {
+                coverage_curve: curve_from(&detected_at, patterns_applied),
+                detected_at: detected_at.clone(),
+                patterns_applied,
+            };
+            let checkpoint = FsimCheckpoint {
+                start,
+                batches_done,
+                max_patterns,
+                detected_at,
+            };
+            return Run {
                 worker_error,
+                ..Run::interrupted(outcome, reason, checkpoint)
             };
         }
         // Reconstruct the serial stopping point from the merged indices:
@@ -534,16 +423,11 @@ impl<'n> FaultSimulator<'n> {
         };
         let patterns_applied = (batches * 64).min(max_patterns);
         source.set_position(start + batches);
-        BudgetedFsim {
-            outcome: FsimOutcome {
-                coverage_curve: curve_from(&detected_at, patterns_applied),
-                detected_at,
-                patterns_applied,
-            },
-            status: RunStatus::Completed,
-            checkpoint: None,
-            worker_error: None,
-        }
+        Run::completed(FsimOutcome {
+            coverage_curve: curve_from(&detected_at, patterns_applied),
+            detected_at,
+            patterns_applied,
+        })
     }
 
     /// The kernel both axes share: simulates the fault-list `subset`
@@ -654,6 +538,7 @@ impl<'n> FaultSimulator<'n> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::RunStatus;
     use crate::list::network_fault_list;
     use dynmos_netlist::generate::{
         and_or_tree, c17_dynamic_nmos, domino_wide_and, fig9_cell, single_cell_network,
@@ -853,20 +738,20 @@ mod tests {
         // time, so the cap interrupts repeatedly before completion.
         let cap = RunBudget::unlimited().with_max_patterns(256);
         let mut src = PatternSource::uniform(19, 10);
-        let mut run = sim.run_random_budgeted(&faults, &mut src, 100_000, &cap);
+        let mut run = sim.run_random_budgeted(&faults, &mut src, 100_000, &cap, None);
         let mut legs = 0usize;
         while let Some(cp) = run.checkpoint.take() {
             assert_eq!(run.status, RunStatus::Interrupted(StopReason::PatternCap));
-            assert_eq!(run.outcome.patterns_applied, cp.patterns_done());
+            assert_eq!(run.output.patterns_applied, cp.patterns_done());
             legs += 1;
             assert!(legs < 10_000, "resume loop failed to make progress");
-            run = sim.resume_random(&faults, &mut src, cp, &cap);
+            run = sim.run_random_budgeted(&faults, &mut src, 100_000, &cap, Some(cp));
         }
         assert!(legs > 0, "cap never interrupted");
         assert_eq!(run.status, RunStatus::Completed);
-        assert_eq!(run.outcome.detected_at, full.detected_at);
-        assert_eq!(run.outcome.patterns_applied, full.patterns_applied);
-        assert_eq!(run.outcome.coverage_curve, full.coverage_curve);
+        assert_eq!(run.output.detected_at, full.detected_at);
+        assert_eq!(run.output.patterns_applied, full.patterns_applied);
+        assert_eq!(run.output.coverage_curve, full.coverage_curve);
         assert_eq!(src.position(), full_src.position());
     }
 
@@ -882,11 +767,11 @@ mod tests {
         let pre_cancelled = Arc::new(AtomicBool::new(true));
         let b = RunBudget::unlimited().with_cancel(pre_cancelled);
         let sim = FaultSimulator::with_parallelism(&net, Parallelism::Serial);
-        let run = sim.run_random_budgeted(&faults, &mut src, 1_000_000, &b);
+        let run = sim.run_random_budgeted(&faults, &mut src, 1_000_000, &b, None);
         assert_eq!(run.status, RunStatus::Interrupted(StopReason::Cancelled));
         // Forward progress: exactly one chunk ran before the (already
         // raised) flag was checked.
-        assert_eq!(run.outcome.patterns_applied, CHUNK_BATCHES * 64);
+        assert_eq!(run.output.patterns_applied, CHUNK_BATCHES * 64);
         let cp = run
             .checkpoint
             .expect("interrupted run carries a checkpoint");
@@ -901,13 +786,13 @@ mod tests {
         let sim = FaultSimulator::with_parallelism(&net, Parallelism::Serial);
         let mut src = PatternSource::uniform(19, 10);
         let cap = RunBudget::unlimited().with_max_patterns(256);
-        let run = sim.run_random_budgeted(&faults, &mut src, 100_000, &cap);
+        let run = sim.run_random_budgeted(&faults, &mut src, 100_000, &cap, None);
         // The partial outcome must agree with an unbudgeted run whose
         // whole budget is the patterns applied so far.
         let mut trunc_src = PatternSource::uniform(19, 10);
-        let trunc = sim.run_random(&faults, &mut trunc_src, run.outcome.patterns_applied);
-        assert_eq!(run.outcome.detected_at, trunc.detected_at);
-        assert_eq!(run.outcome.coverage_curve, trunc.coverage_curve);
+        let trunc = sim.run_random(&faults, &mut trunc_src, run.output.patterns_applied);
+        assert_eq!(run.output.detected_at, trunc.detected_at);
+        assert_eq!(run.output.coverage_curve, trunc.coverage_curve);
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!
 //! The joint product is evaluated in **fixed-size blocks** folded in
 //! ascending order — the same partial-aggregation discipline the rest of
-//! [`crate::parallel`] uses — so [`test_length_par`] can shard the fault
-//! axis over worker threads (ISCAS-scale lists evaluate the product a
+//! [`crate::parallel`] uses — so [`test_length_budgeted`] can shard the
+//! fault axis over worker threads (ISCAS-scale lists evaluate the product a
 //! hundred-plus times during the search) while staying bit-identical to
 //! the serial estimator at any thread count.
 
@@ -113,7 +113,13 @@ pub fn test_length_per_fault(p: f64, confidence: f64) -> u64 {
 /// assert!(n > 1500 && n < 2500);
 /// ```
 pub fn test_length(probs: &[f64], confidence: f64) -> u64 {
-    test_length_par(probs, confidence, Parallelism::default())
+    test_length_budgeted(
+        probs,
+        confidence,
+        Parallelism::default(),
+        &RunBudget::unlimited(),
+    )
+    .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// The joint detection confidence `Π_i (1 - (1-p_i)^N)` over one block of
@@ -125,37 +131,15 @@ fn block_confidence(probs: &[f64], n: u64) -> f64 {
         .product()
 }
 
-/// [`test_length`] with an explicit thread policy for the joint-product
-/// evaluations of the search. The fault axis (in [`PROB_BLOCK`] blocks)
-/// is the only axis here, so the planner shards it whenever the list can
-/// feed every worker a block; block products merge by an ascending-order
-/// fold, making the result bit-identical at any thread count.
-///
-/// # Panics
-///
-/// Panics on the degenerate inputs [`try_test_length_par`] reports as
-/// errors.
-pub fn test_length_par(probs: &[f64], confidence: f64, parallelism: Parallelism) -> u64 {
-    try_test_length_par(probs, confidence, parallelism).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`test_length`] returning degenerate inputs as [`LengthError`]
+/// [`test_length`] with an explicit thread policy, under a
+/// [`RunBudget`], returning degenerate inputs as [`LengthError`]
 /// instead of panicking: NaN or out-of-range probabilities/confidence
 /// are reported, never propagated into pattern budgets.
-pub fn try_test_length(probs: &[f64], confidence: f64) -> Result<u64, LengthError> {
-    try_test_length_par(probs, confidence, Parallelism::default())
-}
-
-/// [`test_length_par`] with errors instead of panics.
-pub fn try_test_length_par(
-    probs: &[f64],
-    confidence: f64,
-    parallelism: Parallelism,
-) -> Result<u64, LengthError> {
-    test_length_budgeted(probs, confidence, parallelism, &RunBudget::unlimited())
-}
-
-/// [`try_test_length_par`] under a [`RunBudget`]: the budget is checked
+///
+/// The fault axis (in `PROB_BLOCK`-fault blocks) is the only axis here, so
+/// the planner shards it whenever the list can feed every worker a
+/// block; block products merge by an ascending-order fold, making the
+/// result bit-identical at any thread count. The budget is checked
 /// between evaluations of the joint product (each evaluation scans the
 /// whole fault list), after at least one has run. The search keeps no
 /// checkpoint — an interrupted search returns
@@ -334,11 +318,12 @@ mod tests {
         let probs: Vec<f64> = (0..40_000)
             .map(|i| 0.001 + 0.9 * ((i * 37 % 101) as f64 / 101.0))
             .collect();
-        let serial = test_length_par(&probs, 0.999, Parallelism::Serial);
+        let unlimited = RunBudget::unlimited();
+        let serial = test_length_budgeted(&probs, 0.999, Parallelism::Serial, &unlimited).unwrap();
         for threads in [2usize, 3, 4, 8] {
             assert_eq!(
-                test_length_par(&probs, 0.999, Parallelism::Fixed(threads)),
-                serial,
+                test_length_budgeted(&probs, 0.999, Parallelism::Fixed(threads), &unlimited),
+                Ok(serial),
                 "threads={threads}"
             );
         }
@@ -363,18 +348,27 @@ mod tests {
         test_length(&[f64::NAN], 0.9);
     }
 
+    fn length_or_error(probs: &[f64], confidence: f64) -> Result<u64, LengthError> {
+        test_length_budgeted(
+            probs,
+            confidence,
+            Parallelism::default(),
+            &RunBudget::unlimited(),
+        )
+    }
+
     #[test]
     fn degenerate_inputs_are_reported_not_propagated() {
-        assert_eq!(try_test_length(&[], 0.9), Err(LengthError::EmptyFaultList));
+        assert_eq!(length_or_error(&[], 0.9), Err(LengthError::EmptyFaultList));
         for c in [0.0, 1.0, -0.5, 1.5, f64::NAN, f64::INFINITY] {
-            let got = try_test_length(&[0.5], c);
+            let got = length_or_error(&[0.5], c);
             assert!(
                 matches!(got, Err(LengthError::BadConfidence(_))),
                 "confidence={c} got={got:?}"
             );
         }
         for p in [-0.1, 1.0001, f64::NAN, f64::NEG_INFINITY] {
-            let got = try_test_length(&[0.5, p], 0.9);
+            let got = length_or_error(&[0.5, p], 0.9);
             assert!(
                 matches!(got, Err(LengthError::BadProbability(_))),
                 "p={p} got={got:?}"
@@ -398,10 +392,10 @@ mod tests {
     fn valid_inputs_round_trip_through_try_api() {
         let probs = [0.07, 0.3, 0.004];
         assert_eq!(
-            try_test_length(&probs, 0.995),
+            length_or_error(&probs, 0.995),
             Ok(test_length(&probs, 0.995))
         );
-        assert_eq!(try_test_length(&[0.5, 0.0], 0.9), Ok(u64::MAX));
+        assert_eq!(length_or_error(&[0.5, 0.0], 0.9), Ok(u64::MAX));
     }
 
     #[test]

@@ -56,30 +56,30 @@ pub mod service;
 pub mod symbolic;
 pub mod testability;
 
-pub use budget::{env_budget_ms, RunBudget, RunStatus, StopReason, DEFAULT_EXACT_ROWS};
+pub use budget::{
+    drive, env_budget_ms, Checkpoint, NoCheckpoint, Run, RunBudget, RunStatus, StopReason,
+    DEFAULT_EXACT_ROWS,
+};
 pub use chaos::{env_fault_plan, CrashPoint, FaultPlan, LegFault, WorkerFault};
 pub use detect::{
-    detection_probabilities, detection_probability_estimates, detection_probability_estimates_with,
-    exact_detection_probability, DetectionEstimate, EstimateMethod, ExactDetector,
+    detection_probabilities, detection_probability_estimates, exact_detection_probability,
+    DetectionEstimate, EstimateMethod, ExactDetector,
 };
 pub use env_contract::EnvError;
 pub use estimate::{exact_signal_probability, signal_probabilities};
-pub use fsim::{BudgetedFsim, FaultSimulator, FsimCheckpoint, FsimOutcome};
+pub use fsim::{FaultSimulator, FsimCheckpoint, FsimOutcome};
 pub use length::{
-    escape_probability, test_length, test_length_budgeted, test_length_par, test_length_per_fault,
-    try_test_length, try_test_length_par, LengthError,
+    escape_probability, test_length, test_length_budgeted, test_length_per_fault, LengthError,
 };
 pub use list::{network_fault_list, stuck_fault_list, FaultEntry};
 pub use montecarlo::{
     mc_detection_probabilities, mc_detection_probabilities_budgeted,
-    mc_detection_probabilities_par, mc_detection_probability, mc_detection_resume,
-    mc_signal_probability, mc_signal_probability_budgeted, mc_signal_probability_par,
-    mc_signal_resume, BudgetedEstimate, BudgetedEstimates, Estimate, McCheckpoint,
+    mc_detection_probabilities_par, mc_detection_probability, mc_signal_probability,
+    mc_signal_probability_budgeted, mc_signal_probability_par, Estimate, McCheckpoint,
 };
 pub use optimize::{
-    optimize_input_probabilities, optimize_input_probabilities_budgeted,
-    optimize_input_probabilities_par, optimize_input_probabilities_with, OptimizeReport,
-    OptimizeRun,
+    optimize_input_probabilities, optimize_input_probabilities_budgeted, OptimizeReport,
+    OPT_MC_SEED,
 };
 pub use parallel::{
     plan_shards, run_sharded, shard_ranges, try_run_sharded, Parallelism, ShardError, ShardPlan,
@@ -87,13 +87,13 @@ pub use parallel::{
 pub use random::{PatternSource, StreamSpan};
 pub use service::{
     BackoffPolicy, CacheStats, EngineConfig, Job, JobContext, JobEngine, JobKernel, JobRecord,
-    JobStatus, Json, NetlistFormat, NetworkCache, Rejection,
+    JobStatus, Json, Kernel, KernelJob, NetlistFormat, NetworkCache, Rejection,
 };
 pub use symbolic::{
     bdd_detection_probabilities, bdd_detection_probability, bdd_signal_probability,
     bdd_test_pattern,
 };
 pub use testability::{
-    env_testability, tier_census, DetectionEngine, TestabilityConfig, TierMode,
-    DEFAULT_NODE_BUDGET, DEFAULT_TIGHTEN_SAMPLES,
+    env_testability, tier_census, DetectionEngine, TestabilityCheckpoint, TestabilityConfig,
+    TierMode, DEFAULT_NODE_BUDGET, DEFAULT_TIGHTEN_SAMPLES,
 };

@@ -19,14 +19,13 @@
 //! either way the estimates are bit-identical to the serial path at any
 //! thread count.
 
-use crate::budget::{self, RunBudget, RunStatus, StopReason};
+use crate::budget::{drive, Checkpoint, Run, RunBudget, StopReason};
 use crate::list::FaultEntry;
-use crate::parallel::{plan_shards, try_run_sharded, Parallelism, ShardError, ShardPlan};
+use crate::parallel::{plan_shards, try_run_sharded, Parallelism, ShardPlan};
 use crate::random::PatternSource;
 use crate::service::json::Json;
 use dynmos_netlist::{NetId, Network, NetworkFault, PackedEvaluator};
 use std::ops::Range;
-use std::time::Duration;
 
 /// Lane words per evaluator pass: 4 × 64 = 256 patterns per tape walk.
 const WIDTH: usize = 4;
@@ -76,11 +75,8 @@ pub struct McCheckpoint {
     hits: Vec<u64>,
 }
 
-impl McCheckpoint {
-    /// The checkpoint as a JSON object — integer pass and hit counts
-    /// serialize exactly, so [`McCheckpoint::from_json`] round-trips
-    /// bit-identically and resumed estimates are unchanged.
-    pub fn to_json(&self) -> Json {
+impl Checkpoint for McCheckpoint {
+    fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("kind".into(), Json::str("mc")),
             ("passes_done".into(), Json::num(self.passes_done as u64)),
@@ -92,12 +88,7 @@ impl McCheckpoint {
         ])
     }
 
-    /// Rebuilds a checkpoint from [`McCheckpoint::to_json`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for missing/mistyped fields or a wrong `kind`.
-    pub fn from_json(v: &Json) -> Result<Self, String> {
+    fn from_json(v: &Json) -> Result<Self, String> {
         if v.get("kind").and_then(Json::as_str) != Some("mc") {
             return Err("not a Monte Carlo checkpoint".into());
         }
@@ -122,53 +113,6 @@ impl McCheckpoint {
             hits,
         })
     }
-
-    /// Samples fully drawn so far.
-    pub fn samples_done(&self) -> u64 {
-        ((self.passes_done as u64) * (WIDTH as u64) * 64).min(self.samples)
-    }
-
-    /// The run's total sample budget.
-    pub fn samples(&self) -> u64 {
-        self.samples
-    }
-}
-
-/// Result of a budgeted whole-list detection estimation: estimates
-/// over the samples drawn so far, completion status, and — when
-/// interrupted — the checkpoint to resume from.
-#[derive(Debug, Clone)]
-pub struct BudgetedEstimates {
-    /// One estimate per fault over the samples drawn so far (a
-    /// completed run's estimates equal the unbudgeted run's exactly).
-    pub estimates: Vec<Estimate>,
-    /// Completed, or interrupted at a chunk boundary.
-    pub status: RunStatus,
-    /// `Some` exactly when interrupted: resume with
-    /// [`mc_detection_resume`].
-    pub checkpoint: Option<McCheckpoint>,
-    /// `Some` exactly when the status is
-    /// [`RunStatus::Interrupted`]`(`[`StopReason::WorkerFailed`]`)`: the
-    /// shard whose worker panicked twice. The failed chunk was not
-    /// merged; resuming retries it.
-    pub worker_error: Option<ShardError>,
-}
-
-/// Result of a budgeted single-net signal estimation.
-#[derive(Debug, Clone)]
-pub struct BudgetedEstimate {
-    /// The estimate over the samples drawn so far.
-    pub estimate: Estimate,
-    /// Completed, or interrupted at a chunk boundary.
-    pub status: RunStatus,
-    /// `Some` exactly when interrupted: resume with
-    /// [`mc_signal_resume`].
-    pub checkpoint: Option<McCheckpoint>,
-    /// `Some` exactly when the status is
-    /// [`RunStatus::Interrupted`]`(`[`StopReason::WorkerFailed`]`)`: the
-    /// shard whose worker panicked twice. The failed chunk was not
-    /// merged; resuming retries it.
-    pub worker_error: Option<ShardError>,
 }
 
 fn estimate_from_counts(hits: u64, samples: u64) -> Estimate {
@@ -221,7 +165,7 @@ pub fn mc_signal_probability(
 /// target net means the planner always shards the pass axis; the
 /// estimate is identical at any thread count. When `DYNMOS_BUDGET_MS`
 /// is set, the estimation runs as an interrupt/resume loop with that
-/// per-leg deadline — producing the identical estimate.
+/// per-leg deadline (see [`drive`]) — producing the identical estimate.
 pub fn mc_signal_probability_par(
     net: &Network,
     target: NetId,
@@ -230,53 +174,33 @@ pub fn mc_signal_probability_par(
     samples: u64,
     parallelism: Parallelism,
 ) -> Estimate {
-    // A worker that failed even its serial retry keeps the historical
-    // panicking contract on this entry point.
-    let check = |run: &BudgetedEstimate| {
-        if let Some(e) = &run.worker_error {
-            panic!("{e}");
-        }
-    };
-    if let Some(ms) = budget::env_budget_ms() {
-        let leg = || RunBudget::deadline_in(Duration::from_millis(ms));
-        let mut run = mc_signal_probability_budgeted(
+    drive(|budget, resume| {
+        mc_signal_probability_budgeted(
             net,
             target,
             pi_probs,
             seed,
             samples,
             parallelism,
-            &leg(),
-        );
-        check(&run);
-        while let Some(cp) = run.checkpoint.take() {
-            run = mc_signal_resume(net, target, pi_probs, seed, parallelism, &leg(), cp);
-            check(&run);
-        }
-        return run.estimate;
-    }
-    let run = mc_signal_probability_budgeted(
-        net,
-        target,
-        pi_probs,
-        seed,
-        samples,
-        parallelism,
-        &RunBudget::unlimited(),
-    );
-    check(&run);
-    run.estimate
+            budget,
+            resume,
+        )
+    })
 }
 
-/// [`mc_signal_probability_par`] under a [`RunBudget`]: stops at the
-/// first chunk boundary past the deadline, cancellation, or per-call
-/// sample cap, returning the partial estimate plus a checkpoint for
-/// [`mc_signal_resume`]. A run completed across any number of
-/// interruptions yields the identical estimate.
+/// [`mc_signal_probability_par`] under a [`RunBudget`], optionally
+/// resuming an interrupted run: stops at the first chunk boundary past
+/// the deadline, cancellation, or per-call sample cap, returning the
+/// partial estimate plus a checkpoint to resume from. A run completed
+/// across any number of interruptions yields the identical estimate.
+/// The network, target, probabilities, seed and sample budget must
+/// match the checkpointed run.
 ///
 /// # Panics
 ///
-/// Panics if `samples == 0` or the probability arity mismatches.
+/// Panics if `samples == 0`, the probability arity mismatches, or
+/// `resume` comes from a different run.
+#[allow(clippy::too_many_arguments)]
 pub fn mc_signal_probability_budgeted(
     net: &Network,
     target: NetId,
@@ -285,46 +209,13 @@ pub fn mc_signal_probability_budgeted(
     samples: u64,
     parallelism: Parallelism,
     run_budget: &RunBudget,
-) -> BudgetedEstimate {
-    assert!(samples > 0, "need at least one sample");
-    let checkpoint = McCheckpoint {
-        passes_done: 0,
-        samples,
-        hits: vec![0],
-    };
-    mc_signal_walk(
-        net,
-        target,
-        pi_probs,
-        seed,
-        parallelism,
-        run_budget,
-        checkpoint,
-    )
-}
-
-/// Continues an interrupted [`mc_signal_probability_budgeted`] run.
-/// The network, target, probabilities and seed must match the original
-/// call.
-pub fn mc_signal_resume(
-    net: &Network,
-    target: NetId,
-    pi_probs: &[f64],
-    seed: u64,
-    parallelism: Parallelism,
-    run_budget: &RunBudget,
-    checkpoint: McCheckpoint,
-) -> BudgetedEstimate {
-    assert_eq!(checkpoint.hits.len(), 1, "not a signal checkpoint");
-    mc_signal_walk(
-        net,
-        target,
-        pi_probs,
-        seed,
-        parallelism,
-        run_budget,
-        checkpoint,
-    )
+    resume: Option<McCheckpoint>,
+) -> Run<Estimate, McCheckpoint> {
+    let src = PatternSource::new(seed, pi_probs.to_vec());
+    mc_walk(1, samples, parallelism, run_budget, resume, |_, passes| {
+        vec![mc_signal_span(net, target, &src, passes, samples)]
+    })
+    .map(|mut estimates| estimates.remove(0))
 }
 
 /// Per-pass hit counts for one net over the passes `pass_range`,
@@ -356,101 +247,6 @@ fn mc_signal_span(
     hits
 }
 
-/// The chunked signal-estimation walk: disjoint pass chunks, budget
-/// checks between chunks only, exact integer hit sums (chunking and
-/// sharding both invisible to the estimate).
-fn mc_signal_walk(
-    net: &Network,
-    target: NetId,
-    pi_probs: &[f64],
-    seed: u64,
-    parallelism: Parallelism,
-    run_budget: &RunBudget,
-    checkpoint: McCheckpoint,
-) -> BudgetedEstimate {
-    let McCheckpoint {
-        mut passes_done,
-        samples,
-        mut hits,
-    } = checkpoint;
-    let src = PatternSource::new(seed, pi_probs.to_vec());
-    // One evaluator pass covers WIDTH * 64 samples.
-    let total_passes = samples.div_ceil((WIDTH as u64) * 64) as usize;
-    let threads = parallelism.resolve();
-    let chunk = if run_budget.is_unlimited() {
-        total_passes.max(1)
-    } else {
-        CHUNK_PASSES
-    };
-    let call_start = passes_done;
-    let cap_passes = run_budget
-        .max_patterns
-        .map(|p| (p.div_ceil((WIDTH as u64) * 64) as usize).max(1));
-    let mut stop: Option<StopReason> = None;
-    let mut worker_error: Option<ShardError> = None;
-    while passes_done < total_passes {
-        let mut end = (passes_done + chunk).min(total_passes);
-        if let Some(cap) = cap_passes {
-            end = end.min(call_start + cap);
-        }
-        let range = passes_done..end;
-        let workers = plan_shards(1, range.len() as u64, threads).workers();
-        // A twice-failed shard stops the walk before `passes_done`
-        // advances: the failed chunk is discarded whole and the
-        // checkpoint stays at the last merged boundary.
-        match try_run_sharded(range.len(), workers, |r| {
-            mc_signal_span(
-                net,
-                target,
-                &src,
-                range.start + r.start..range.start + r.end,
-                samples,
-            )
-        }) {
-            Ok(spans) => hits[0] += spans.into_iter().sum::<u64>(),
-            Err(e) => {
-                worker_error = Some(e);
-                stop = Some(StopReason::WorkerFailed);
-                break;
-            }
-        }
-        passes_done = range.end;
-        if passes_done >= total_passes {
-            break;
-        }
-        if cap_passes.is_some_and(|cap| passes_done - call_start >= cap) {
-            stop = Some(StopReason::PatternCap);
-            break;
-        }
-        if let Some(reason) = run_budget.stop_requested() {
-            stop = Some(reason);
-            break;
-        }
-    }
-    let drawn = ((passes_done as u64) * (WIDTH as u64) * 64)
-        .min(samples)
-        .max(1);
-    let estimate = estimate_from_counts(hits[0], drawn);
-    match stop {
-        Some(reason) => BudgetedEstimate {
-            estimate,
-            status: RunStatus::Interrupted(reason),
-            checkpoint: Some(McCheckpoint {
-                passes_done,
-                samples,
-                hits,
-            }),
-            worker_error,
-        },
-        None => BudgetedEstimate {
-            estimate,
-            status: RunStatus::Completed,
-            checkpoint: None,
-            worker_error: None,
-        },
-    }
-}
-
 /// Monte Carlo detection probability of one fault.
 ///
 /// # Panics
@@ -458,21 +254,17 @@ fn mc_signal_walk(
 /// Panics if `samples == 0` or the probability arity mismatches.
 pub fn mc_detection_probability(
     net: &Network,
-    fault: &dynmos_netlist::NetworkFault,
+    fault: &NetworkFault,
     pi_probs: &[f64],
     seed: u64,
     samples: u64,
 ) -> Estimate {
-    mc_detection_core(
-        net,
-        std::slice::from_ref(fault),
-        pi_probs,
-        seed,
-        samples,
-        Parallelism::default(),
-    )
-    .pop()
-    .expect("one estimate per fault")
+    let faults = [FaultEntry {
+        label: String::new(),
+        fault: fault.clone(),
+        at_speed_only: false,
+    }];
+    mc_detection_probabilities(net, &faults, pi_probs, seed, samples).remove(0)
 }
 
 /// Monte Carlo detection probabilities for a whole list (one estimate per
@@ -496,7 +288,7 @@ pub fn mc_detection_probabilities(
 /// the few-fault regime (hit counts add exactly); estimates are
 /// identical at any thread count either way. When `DYNMOS_BUDGET_MS`
 /// is set, the estimation runs as an interrupt/resume loop with that
-/// per-leg deadline — producing the identical estimates.
+/// per-leg deadline (see [`drive`]) — producing the identical estimates.
 pub fn mc_detection_probabilities_par(
     net: &Network,
     faults: &[FaultEntry],
@@ -505,20 +297,34 @@ pub fn mc_detection_probabilities_par(
     samples: u64,
     parallelism: Parallelism,
 ) -> Vec<Estimate> {
-    let faults: Vec<NetworkFault> = faults.iter().map(|e| e.fault.clone()).collect();
-    mc_detection_core(net, &faults, pi_probs, seed, samples, parallelism)
+    drive(|budget, resume| {
+        mc_detection_probabilities_budgeted(
+            net,
+            faults,
+            pi_probs,
+            seed,
+            samples,
+            parallelism,
+            budget,
+            resume,
+        )
+    })
 }
 
-/// [`mc_detection_probabilities_par`] under a [`RunBudget`]: stops at
-/// the first chunk boundary past the deadline, cancellation, or
-/// per-call sample cap, returning partial estimates plus a checkpoint
-/// for [`mc_detection_resume`]. A run completed across any number of
-/// interruptions yields estimates bit-identical to an uninterrupted
-/// run at any thread count.
+/// [`mc_detection_probabilities_par`] under a [`RunBudget`], optionally
+/// resuming an interrupted run: stops at the first chunk boundary past
+/// the deadline, cancellation, or per-call sample cap, returning
+/// partial estimates plus a checkpoint to resume from. A run completed
+/// across any number of interruptions yields estimates bit-identical to
+/// an uninterrupted run at any thread count. The network, fault list,
+/// probabilities, seed and sample budget must match the checkpointed
+/// run.
 ///
 /// # Panics
 ///
-/// Panics if `samples == 0` or the probability arity mismatches.
+/// Panics if `samples == 0`, the probability arity mismatches, or
+/// `resume` comes from a different run.
+#[allow(clippy::too_many_arguments)]
 pub fn mc_detection_probabilities_budgeted(
     net: &Network,
     faults: &[FaultEntry],
@@ -527,134 +333,59 @@ pub fn mc_detection_probabilities_budgeted(
     samples: u64,
     parallelism: Parallelism,
     run_budget: &RunBudget,
-) -> BudgetedEstimates {
-    assert!(samples > 0, "need at least one sample");
-    if faults.is_empty() {
-        return BudgetedEstimates {
-            estimates: Vec::new(),
-            status: RunStatus::Completed,
-            checkpoint: None,
-            worker_error: None,
-        };
-    }
-    let faults: Vec<NetworkFault> = faults.iter().map(|e| e.fault.clone()).collect();
-    let checkpoint = McCheckpoint {
-        passes_done: 0,
-        samples,
-        hits: vec![0; faults.len()],
-    };
-    mc_detection_walk(
-        net,
-        &faults,
-        pi_probs,
-        seed,
-        parallelism,
-        run_budget,
-        checkpoint,
-    )
-}
-
-/// Continues an interrupted [`mc_detection_probabilities_budgeted`]
-/// run. The network, fault list, probabilities and seed must match the
-/// original call.
-///
-/// # Panics
-///
-/// Panics if the checkpoint's fault count differs from `faults`.
-pub fn mc_detection_resume(
-    net: &Network,
-    faults: &[FaultEntry],
-    pi_probs: &[f64],
-    seed: u64,
-    parallelism: Parallelism,
-    run_budget: &RunBudget,
-    checkpoint: McCheckpoint,
-) -> BudgetedEstimates {
-    assert_eq!(
-        checkpoint.hits.len(),
+    resume: Option<McCheckpoint>,
+) -> Run<Vec<Estimate>, McCheckpoint> {
+    let src = PatternSource::new(seed, pi_probs.to_vec());
+    let prepared: Vec<_> = faults.iter().map(|e| net.prepare_fault(&e.fault)).collect();
+    mc_walk(
         faults.len(),
-        "checkpoint fault count mismatch"
-    );
-    let faults: Vec<NetworkFault> = faults.iter().map(|e| e.fault.clone()).collect();
-    mc_detection_walk(
-        net,
-        &faults,
-        pi_probs,
-        seed,
+        samples,
         parallelism,
         run_budget,
-        checkpoint,
+        resume,
+        |targets, passes| mc_detection_span(net, &prepared[targets], &src, passes, samples),
     )
 }
 
-fn mc_detection_core(
-    net: &Network,
-    faults: &[NetworkFault],
-    pi_probs: &[f64],
-    seed: u64,
+/// The chunked estimation walk both estimators share: `span(targets,
+/// passes)` returns the hit counts of the target slice over a pass
+/// range. Each chunk shards along the planner's axis — target slices
+/// over the whole chunk, or disjoint pass ranges over every target —
+/// and per-target hit counts over disjoint pass ranges add exactly, so
+/// neither chunking nor sharding is visible in the estimates. Budget
+/// checks happen only between chunks, after at least one has run.
+fn mc_walk(
+    targets: usize,
     samples: u64,
     parallelism: Parallelism,
-) -> Vec<Estimate> {
-    assert!(samples > 0, "need at least one sample");
-    if faults.is_empty() {
-        return Vec::new();
-    }
-    let fresh = |_: &()| McCheckpoint {
-        passes_done: 0,
-        samples,
-        hits: vec![0; faults.len()],
-    };
-    // A worker that failed even its serial retry keeps the historical
-    // panicking contract on this entry point.
-    let check = |run: &BudgetedEstimates| {
-        if let Some(e) = &run.worker_error {
-            panic!("{e}");
-        }
-    };
-    if let Some(ms) = budget::env_budget_ms() {
-        let leg = || RunBudget::deadline_in(Duration::from_millis(ms));
-        let mut run =
-            mc_detection_walk(net, faults, pi_probs, seed, parallelism, &leg(), fresh(&()));
-        check(&run);
-        while let Some(cp) = run.checkpoint.take() {
-            run = mc_detection_walk(net, faults, pi_probs, seed, parallelism, &leg(), cp);
-            check(&run);
-        }
-        return run.estimates;
-    }
-    let run = mc_detection_walk(
-        net,
-        faults,
-        pi_probs,
-        seed,
-        parallelism,
-        &RunBudget::unlimited(),
-        fresh(&()),
-    );
-    check(&run);
-    run.estimates
-}
-
-/// The chunked detection-estimation walk both entry points share. Each
-/// chunk shards along the planner's axis; per-fault hit counts over
-/// disjoint pass ranges add exactly, so neither chunking nor sharding
-/// is visible in the estimates; budget checks happen only between
-/// chunks, after at least one has run.
-fn mc_detection_walk(
-    net: &Network,
-    faults: &[NetworkFault],
-    pi_probs: &[f64],
-    seed: u64,
-    parallelism: Parallelism,
     run_budget: &RunBudget,
-    checkpoint: McCheckpoint,
-) -> BudgetedEstimates {
+    resume: Option<McCheckpoint>,
+    span: impl Fn(Range<usize>, Range<usize>) -> Vec<u64> + Sync,
+) -> Run<Vec<Estimate>, McCheckpoint> {
+    assert!(samples > 0, "need at least one sample");
+    if targets == 0 {
+        return Run::completed(Vec::new());
+    }
     let McCheckpoint {
         mut passes_done,
         samples,
         mut hits,
-    } = checkpoint;
-    let src = PatternSource::new(seed, pi_probs.to_vec());
+    } = match resume {
+        Some(cp) => {
+            assert_eq!(
+                (cp.hits.len(), cp.samples),
+                (targets, samples),
+                "checkpoint from a different run"
+            );
+            cp
+        }
+        None => McCheckpoint {
+            passes_done: 0,
+            samples,
+            hits: vec![0; targets],
+        },
+    };
+    // One evaluator pass covers WIDTH * 64 samples.
     let total_passes = samples.div_ceil((WIDTH as u64) * 64) as usize;
     let threads = parallelism.resolve();
     let chunk = if run_budget.is_unlimited() {
@@ -667,7 +398,7 @@ fn mc_detection_walk(
         .max_patterns
         .map(|p| (p.div_ceil((WIDTH as u64) * 64) as usize).max(1));
     let mut stop: Option<StopReason> = None;
-    let mut worker_error: Option<ShardError> = None;
+    let mut worker_error = None;
     while passes_done < total_passes {
         let mut end = (passes_done + chunk).min(total_passes);
         if let Some(cap) = cap_passes {
@@ -677,23 +408,17 @@ fn mc_detection_walk(
         // A twice-failed shard stops the walk before `passes_done`
         // advances: the failed chunk is discarded whole and the
         // checkpoint stays at the last merged boundary.
-        let sharded = match plan_shards(faults.len(), range.len() as u64, threads) {
-            ShardPlan::Faults(workers) => try_run_sharded(faults.len(), workers, |fault_range| {
-                mc_detection_span(net, &faults[fault_range], &src, range.clone(), samples)
-            })
-            .map(|results| results.into_iter().flatten().collect::<Vec<u64>>()),
-            ShardPlan::Patterns(workers) => try_run_sharded(range.len(), workers, |pass_range| {
-                mc_detection_span(
-                    net,
-                    faults,
-                    &src,
-                    range.start + pass_range.start..range.start + pass_range.end,
-                    samples,
-                )
+        let sharded = match plan_shards(targets, range.len() as u64, threads) {
+            ShardPlan::Faults(workers) => {
+                try_run_sharded(targets, workers, |t| span(t, range.clone()))
+                    .map(|results| results.into_iter().flatten().collect::<Vec<u64>>())
+            }
+            ShardPlan::Patterns(workers) => try_run_sharded(range.len(), workers, |p| {
+                span(0..targets, range.start + p.start..range.start + p.end)
             })
             .map(|spans| {
-                // Disjoint pass ranges: per-fault hit counts add exactly.
-                let mut acc = vec![0u64; faults.len()];
+                // Disjoint pass ranges: per-target hit counts add exactly.
+                let mut acc = vec![0u64; targets];
                 for span in spans {
                     for (a, s) in acc.iter_mut().zip(span) {
                         *a += s;
@@ -702,16 +427,17 @@ fn mc_detection_walk(
                 acc
             }),
         };
-        let chunk_hits: Vec<u64> = match sharded {
-            Ok(v) => v,
+        match sharded {
+            Ok(chunk_hits) => {
+                for (h, c) in hits.iter_mut().zip(chunk_hits) {
+                    *h += c;
+                }
+            }
             Err(e) => {
                 worker_error = Some(e);
                 stop = Some(StopReason::WorkerFailed);
                 break;
             }
-        };
-        for (h, c) in hits.iter_mut().zip(chunk_hits) {
-            *h += c;
         }
         passes_done = range.end;
         if passes_done >= total_passes {
@@ -734,38 +460,33 @@ fn mc_detection_walk(
         .map(|&h| estimate_from_counts(h, drawn))
         .collect();
     match stop {
-        Some(reason) => BudgetedEstimates {
-            estimates,
-            status: RunStatus::Interrupted(reason),
-            checkpoint: Some(McCheckpoint {
+        Some(reason) => {
+            let checkpoint = McCheckpoint {
                 passes_done,
                 samples,
                 hits,
-            }),
-            worker_error,
-        },
-        None => BudgetedEstimates {
-            estimates,
-            status: RunStatus::Completed,
-            checkpoint: None,
-            worker_error: None,
-        },
+            };
+            Run {
+                worker_error,
+                ..Run::interrupted(estimates, reason, checkpoint)
+            }
+        }
+        None => Run::completed(estimates),
     }
 }
 
-/// The kernel both axes share: per-fault hit counts for `faults` over
+/// The kernel both axes share: per-fault hit counts for `prepared` over
 /// the wide evaluator passes `pass_range` of the stream (pass `p` covers
 /// samples `p * WIDTH * 64 ..`, tail-masked against `samples`). The
 /// fault axis calls it with the full pass range and a fault slice; the
 /// pattern axis with a pass slice and the full fault list.
 fn mc_detection_span(
     net: &Network,
-    faults: &[NetworkFault],
+    prepared: &[dynmos_netlist::PreparedFault<'_>],
     src: &PatternSource,
     pass_range: Range<usize>,
     samples: u64,
 ) -> Vec<u64> {
-    let prepared: Vec<_> = faults.iter().map(|f| net.prepare_fault(f)).collect();
     let mut ev = PackedEvaluator::with_width(net, WIDTH);
     let mut batch = vec![0u64; src.input_count() * WIDTH];
     let mut hits = vec![0u64; prepared.len()];

@@ -18,7 +18,7 @@
 //! objective evaluations — scales with cores in both regimes while
 //! staying bit-identical at any thread count.
 
-use crate::budget::{RunBudget, RunStatus, StopReason};
+use crate::budget::{NoCheckpoint, Run, RunBudget, RunStatus, StopReason};
 use crate::detect::EstimateMethod;
 use crate::length::{test_length_budgeted, LengthError};
 use crate::list::FaultEntry;
@@ -26,11 +26,12 @@ use crate::parallel::Parallelism;
 use crate::testability::{DetectionEngine, TestabilityConfig, TierMode};
 use dynmos_netlist::Network;
 
-/// Fixed seed for the sampling parts of the objective (cutting-tier
-/// bound tightening): every evaluation of the same probability vector
-/// sees the same sample stream, so the descent compares candidates on a
-/// common, deterministic footing.
-const OPT_MC_SEED: u64 = 0x0D7E57;
+/// Seed for the sampling parts of the objective (cutting-tier bound
+/// tightening) used by [`optimize_input_probabilities`] and the
+/// service's `optimize` job: every evaluation of the same probability
+/// vector sees the same sample stream, so the descent compares
+/// candidates on a common, deterministic footing.
+pub const OPT_MC_SEED: u64 = 0x0D7E57;
 
 /// Result of an optimization run.
 #[derive(Debug, Clone)]
@@ -43,6 +44,15 @@ pub struct OptimizeReport {
     pub optimized_length: u64,
     /// Number of full coordinate sweeps performed.
     pub sweeps: usize,
+    /// The weakest tier that served any fault — [`EstimateMethod::Exact`]
+    /// only when every fault ran exact, [`EstimateMethod::Cutting`] as
+    /// soon as one fault fell back to certified bounds. See `methods`
+    /// for the per-fault tags.
+    pub method: EstimateMethod,
+    /// Per-fault engine tiers of the objective, in fault-list order.
+    /// Empty only when the run was interrupted before the first
+    /// objective evaluation finished.
+    pub methods: Vec<EstimateMethod>,
 }
 
 impl OptimizeReport {
@@ -96,62 +106,25 @@ pub fn optimize_input_probabilities(
     confidence: f64,
     max_sweeps: usize,
 ) -> OptimizeReport {
-    optimize_input_probabilities_par(net, faults, confidence, max_sweeps, Parallelism::default())
-}
-
-/// [`optimize_input_probabilities`] with an explicit thread policy for
-/// the objective's enumeration engine. The report is identical at any
-/// thread count. Networks whose row space exceeds the default
-/// exact-enumeration cap no longer panic: the objective degrades to
-/// Monte-Carlo detection estimation with a fixed seed (see
-/// [`optimize_input_probabilities_budgeted`], which also reports which
-/// method ran).
-pub fn optimize_input_probabilities_par(
-    net: &Network,
-    faults: &[FaultEntry],
-    confidence: f64,
-    max_sweeps: usize,
-    parallelism: Parallelism,
-) -> OptimizeReport {
     optimize_input_probabilities_budgeted(
         net,
         faults,
         confidence,
         max_sweeps,
-        parallelism,
+        &TestabilityConfig::from_env().with_seed(OPT_MC_SEED),
+        Parallelism::default(),
         &RunBudget::unlimited(),
     )
-    .report
+    .output
 }
 
-/// An optimization outcome under a [`RunBudget`]: the (possibly
-/// partial) report, whether the descent completed, and which engine
-/// tier(s) served the objective.
-#[derive(Debug, Clone)]
-pub struct OptimizeRun {
-    /// Best probabilities and lengths seen before the stop. When the
-    /// very first objective evaluation is interrupted, the report
-    /// holds the uniform starting point with unbounded lengths.
-    pub report: OptimizeReport,
-    /// [`RunStatus::Completed`], or the [`StopReason`] that ended the
-    /// descent early.
-    pub status: RunStatus,
-    /// The weakest tier that served any fault — [`EstimateMethod::Exact`]
-    /// only when every fault ran exact, [`EstimateMethod::Cutting`] as
-    /// soon as one fault fell back to certified bounds. See `methods`
-    /// for the per-fault tags.
-    pub method: EstimateMethod,
-    /// Per-fault engine tiers of the objective, in fault-list order.
-    /// Empty only when the run was interrupted before the first
-    /// objective evaluation finished.
-    pub methods: Vec<EstimateMethod>,
-}
-
-/// [`optimize_input_probabilities_par`] under a [`RunBudget`]. The
-/// budget is threaded into every objective evaluation (enumeration
-/// chunks, symbolic passes, and test-length searches all check it); an
+/// [`optimize_input_probabilities`] with an explicit engine
+/// configuration and thread policy, under a [`RunBudget`]. The budget
+/// is threaded into every objective evaluation (enumeration chunks,
+/// symbolic passes, and test-length searches all check it); an
 /// interrupt ends the descent at the last fully evaluated candidate and
-/// returns the best-so-far report with [`RunStatus::Interrupted`].
+/// returns the best-so-far report with [`RunStatus::Interrupted`]. The
+/// descent keeps no checkpoint: a new call restarts it.
 ///
 /// The objective runs on the tiered [`DetectionEngine`]: exact
 /// enumeration when the row space fits
@@ -159,9 +132,8 @@ pub struct OptimizeRun {
 /// (one linear probability pass per evaluation — the thing that makes
 /// coordinate descent feasible at hundreds of inputs), degrading per
 /// fault to certified cutting bounds. Per-fault tiers are reported in
-/// [`OptimizeRun::methods`]. The tier policy follows
-/// `DYNMOS_TESTABILITY`; use [`optimize_input_probabilities_with`] to
-/// pin it.
+/// [`OptimizeReport::methods`]. The report is identical at any thread
+/// count.
 ///
 /// # Panics
 ///
@@ -171,37 +143,10 @@ pub fn optimize_input_probabilities_budgeted(
     faults: &[FaultEntry],
     confidence: f64,
     max_sweeps: usize,
-    parallelism: Parallelism,
-    run_budget: &RunBudget,
-) -> OptimizeRun {
-    let config = TestabilityConfig::from_env().with_seed(OPT_MC_SEED);
-    optimize_input_probabilities_with(
-        net,
-        faults,
-        confidence,
-        max_sweeps,
-        parallelism,
-        run_budget,
-        &config,
-    )
-}
-
-/// [`optimize_input_probabilities_budgeted`] with an explicit engine
-/// configuration, for callers that must pin a tier regardless of
-/// `DYNMOS_TESTABILITY`.
-///
-/// # Panics
-///
-/// Panics if `faults` is empty or `confidence` is not in `(0,1)`.
-pub fn optimize_input_probabilities_with(
-    net: &Network,
-    faults: &[FaultEntry],
-    confidence: f64,
-    max_sweeps: usize,
-    parallelism: Parallelism,
-    run_budget: &RunBudget,
     config: &TestabilityConfig,
-) -> OptimizeRun {
+    parallelism: Parallelism,
+    run_budget: &RunBudget,
+) -> Run<OptimizeReport, NoCheckpoint> {
     let n = net.primary_inputs().len();
     // One engine (tier plan, shared BDD, per-fault difference roots)
     // serves every objective evaluation of the descent.
@@ -296,17 +241,17 @@ pub fn optimize_input_probabilities_with(
             }
         }
     }
-    let method = summary_method(&methods, config, n, run_budget);
-    OptimizeRun {
-        report: OptimizeReport {
-            probabilities: probs,
-            uniform_length,
-            optimized_length: best,
-            sweeps,
-        },
-        status,
-        method,
+    let report = OptimizeReport {
+        probabilities: probs,
+        uniform_length,
+        optimized_length: best,
+        sweeps,
+        method: summary_method(&methods, config, n, run_budget),
         methods,
+    };
+    Run {
+        status,
+        ..Run::completed(report)
     }
 }
 
@@ -408,35 +353,39 @@ mod tests {
         let auto = TestabilityConfig::new(TierMode::Auto);
         let net = single_cell_network(domino_wide_and(8));
         let faults = network_fault_list(&net);
-        let reference = optimize_input_probabilities_with(
+        let reference = optimize_input_probabilities_budgeted(
             &net,
             &faults,
             0.999,
             8,
+            &auto,
             Parallelism::Serial,
             &RunBudget::unlimited(),
-            &auto,
         );
         let far = RunBudget::deadline_in(std::time::Duration::from_secs(3600));
-        let run = optimize_input_probabilities_with(
+        let run = optimize_input_probabilities_budgeted(
             &net,
             &faults,
             0.999,
             8,
+            &auto,
             Parallelism::Serial,
             &far,
-            &auto,
         );
         assert!(run.status.is_complete());
-        assert_eq!(run.method, EstimateMethod::Exact);
-        assert!(run.methods.iter().all(|&m| m == EstimateMethod::Exact));
-        assert_eq!(run.report.probabilities, reference.report.probabilities);
-        assert_eq!(run.report.uniform_length, reference.report.uniform_length);
+        assert_eq!(run.output.method, EstimateMethod::Exact);
+        assert!(run
+            .output
+            .methods
+            .iter()
+            .all(|&m| m == EstimateMethod::Exact));
+        assert_eq!(run.output.probabilities, reference.output.probabilities);
+        assert_eq!(run.output.uniform_length, reference.output.uniform_length);
         assert_eq!(
-            run.report.optimized_length,
-            reference.report.optimized_length
+            run.output.optimized_length,
+            reference.output.optimized_length
         );
-        assert_eq!(run.report.sweeps, reference.report.sweeps);
+        assert_eq!(run.output.sweeps, reference.output.sweeps);
     }
 
     #[test]
@@ -446,21 +395,21 @@ mod tests {
         // never worsens the start point.
         let net = single_cell_network(domino_wide_and(6));
         let faults = network_fault_list(&net);
-        let run = optimize_input_probabilities_with(
+        let run = optimize_input_probabilities_budgeted(
             &net,
             &faults,
             0.99,
             1,
+            &TestabilityConfig::new(TierMode::Auto),
             Parallelism::Serial,
             &RunBudget::unlimited().with_max_exact_rows(1 << 4),
-            &TestabilityConfig::new(TierMode::Auto),
         );
         assert!(run.status.is_complete());
-        assert_eq!(run.method, EstimateMethod::Bdd);
-        assert_eq!(run.methods.len(), faults.len());
-        assert!(run.methods.iter().all(|&m| m == EstimateMethod::Bdd));
-        assert!(run.report.optimized_length <= run.report.uniform_length);
-        assert_eq!(run.report.probabilities.len(), 6);
+        assert_eq!(run.output.method, EstimateMethod::Bdd);
+        assert_eq!(run.output.methods.len(), faults.len());
+        assert!(run.output.methods.iter().all(|&m| m == EstimateMethod::Bdd));
+        assert!(run.output.optimized_length <= run.output.uniform_length);
+        assert_eq!(run.output.probabilities.len(), 6);
     }
 
     #[test]
@@ -475,6 +424,7 @@ mod tests {
             &faults,
             0.999,
             8,
+            &TestabilityConfig::from_env().with_seed(OPT_MC_SEED),
             Parallelism::Serial,
             &RunBudget::unlimited().with_cancel(flag),
         );
@@ -484,7 +434,7 @@ mod tests {
         );
         // Interrupted before the first objective finished: the report
         // is the documented uniform starting point.
-        assert_eq!(run.report.sweeps, 0);
-        assert!(run.report.probabilities.iter().all(|&p| p == 0.5));
+        assert_eq!(run.output.sweeps, 0);
+        assert!(run.output.probabilities.iter().all(|&p| p == 0.5));
     }
 }

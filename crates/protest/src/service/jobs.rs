@@ -1,30 +1,36 @@
-//! The [`JobKernel`] abstraction and the built-in kernels wrapping
-//! every budgeted PROTEST kernel in this crate.
+//! The [`JobKernel`] abstraction and the built-in job kinds.
 //!
-//! A kernel runs in supervisor-scheduled **legs**: each
+//! A job runs in supervisor-scheduled **legs**: each
 //! [`JobKernel::run_leg`] call advances the job under one
 //! [`RunBudget`] and returns whether the job completed or stopped at a
-//! checkpointable boundary. Kernels commit state **only on return** —
-//! a leg that dies mid-flight (injected kill, worker panic) leaves the
-//! kernel exactly at its previous checkpoint, which is what makes
-//! supervisor retries bit-identical to an uninterrupted run for the
-//! checkpointed kernels (fault simulation, both Monte Carlo
-//! estimators) and merely idempotent-restarted for the rest.
+//! checkpointable boundary. Jobs commit state **only on return** — a
+//! leg that dies mid-flight (injected kill, worker panic) leaves the job
+//! exactly at its previous checkpoint, which is what makes supervisor
+//! retries bit-identical to an uninterrupted run.
+//!
+//! Every built-in kind is a [`Kernel`]: request parsing, one call of a
+//! budgeted entry point of the shape `run(budget, resume) ->
+//! Run<Output, Checkpoint>`, and the output JSON. The one generic
+//! adapter [`KernelJob`] turns a kernel into a [`JobKernel`]: it carries
+//! the checkpoint between legs, and the checkpoint's [`Checkpoint`]
+//! codec is the journaled snapshot. A null snapshot means "no
+//! checkpoint yet", so the job starts from scratch.
 
-use crate::budget::{RunBudget, RunStatus};
-use crate::detect::{detection_probability_estimates, DetectionEstimate, EstimateMethod};
+use crate::budget::{Checkpoint, NoCheckpoint, Run, RunBudget, RunStatus};
+use crate::detect::{detection_probability_estimates, DetectionEstimate};
 use crate::fsim::{FaultSimulator, FsimCheckpoint, FsimOutcome};
 use crate::length::{test_length_budgeted, LengthError};
 use crate::list::FaultEntry;
 use crate::montecarlo::{
-    mc_detection_probabilities_budgeted, mc_detection_resume, mc_signal_probability_budgeted,
-    mc_signal_resume, Estimate, McCheckpoint,
+    mc_detection_probabilities_budgeted, mc_signal_probability_budgeted, Estimate, McCheckpoint,
 };
-use crate::optimize::{optimize_input_probabilities_budgeted, OptimizeReport};
+use crate::optimize::{optimize_input_probabilities_budgeted, OptimizeReport, OPT_MC_SEED};
 use crate::parallel::Parallelism;
 use crate::random::PatternSource;
 use crate::service::json::Json;
-use crate::testability::{tier_census, DetectionEngine, TestabilityConfig, TierMode};
+use crate::testability::{
+    estimate_json, tier_census, TestabilityCheckpoint, TestabilityConfig, TierMode,
+};
 use dynmos_netlist::Network;
 use std::sync::Arc;
 
@@ -37,6 +43,12 @@ const DEFAULT_WORK: u64 = 10_000;
 
 /// Default confidence for length/optimize jobs.
 const DEFAULT_CONFIDENCE: f64 = 0.999;
+
+/// Largest `tighten_samples` a request may ask for (256 ×
+/// [`crate::DEFAULT_TIGHTEN_SAMPLES`]). Cutting-tier tightening runs
+/// outside the job budget, so an unbounded count could overrun any
+/// deadline.
+const MAX_TIGHTEN_SAMPLES: u64 = 1 << 20;
 
 /// Everything a kernel factory gets to build a job from a request.
 pub struct JobContext<'a> {
@@ -51,12 +63,19 @@ pub struct JobContext<'a> {
     pub params: &'a Json,
 }
 
-/// One supervised job kernel: a budgeted PROTEST kernel plus enough
-/// state to resume across legs.
-pub trait JobKernel: Send {
-    /// The job-kind token (`"fsim"`, `"mc-detect"`, …).
-    fn kind(&self) -> &'static str;
+/// What every job runs on: the [`JobContext`] minus the request.
+pub struct JobTarget {
+    /// The compiled network.
+    pub net: Arc<Network>,
+    /// The job's fault list.
+    pub faults: Vec<FaultEntry>,
+    /// The engine's thread policy.
+    pub parallelism: Parallelism,
+}
 
+/// One supervised job: a budgeted PROTEST kernel plus enough state to
+/// resume across legs.
+pub trait JobKernel: Send {
     /// Advances the job under `budget`. Must commit state only on
     /// return, and must make forward progress on every call with a
     /// non-degenerate budget (the underlying kernels guarantee one
@@ -68,63 +87,132 @@ pub trait JobKernel: Send {
     /// results bit-identical to an uninterrupted run).
     fn output(&self) -> Json;
 
-    /// The last worker failure this kernel observed, if any.
-    fn last_error(&self) -> Option<String> {
-        None
-    }
+    /// The last worker failure this job observed, if any.
+    fn last_error(&self) -> Option<String>;
 
-    /// The kernel's serializable resume state — everything committed at
+    /// The job's serializable resume state — everything committed at
     /// the last returned leg, as JSON the write-ahead journal can
-    /// persist. The default (`Json::Null`) is correct for kernels with
-    /// no cross-leg state: restoring them restarts the (deterministic)
-    /// computation from scratch.
-    ///
-    /// Snapshots carry *resume* state only, never terminal output; a
-    /// completed job is journaled via its terminal record instead.
-    fn snapshot(&self) -> Json {
-        Json::Null
-    }
+    /// persist. Snapshots carry *resume* state only, never terminal
+    /// output; a completed job is journaled via its terminal record
+    /// instead.
+    fn snapshot(&self) -> Json;
 
-    /// Restores a kernel freshly built from its original request to a
+    /// Restores a job freshly built from its original request to a
     /// prior [`JobKernel::snapshot`]. Resuming from the restored state
     /// completes bit-identical to the uninterrupted run (the service
     /// determinism contract, now across process boundaries).
     ///
     /// # Errors
     ///
-    /// Returns a message when the snapshot does not round-trip (wrong
-    /// kind, mistyped fields) — the journal is then treated as corrupt.
-    fn restore(&mut self, snapshot: &Json) -> Result<(), String> {
-        match snapshot {
-            Json::Null => Ok(()),
-            other => Err(format!(
-                "{} kernel carries no resumable state, got snapshot {other}",
-                self.kind()
-            )),
-        }
+    /// Returns a message naming the kind when the snapshot does not
+    /// decode — the journal is then treated as corrupt.
+    fn restore(&mut self, snapshot: &Json) -> Result<(), String>;
+}
+
+/// One job kind: the request's parameters, a call of the kind's
+/// budgeted entry point (the resumable shape every kernel in this crate
+/// shares), and the kind's output JSON.
+pub trait Kernel: Send + 'static {
+    /// What a (possibly partial) run produces.
+    type Output: Send;
+    /// The resumable state between legs — also the job snapshot.
+    type Checkpoint: Checkpoint;
+
+    /// Runs one leg on `target` under `budget`, from `resume` when a
+    /// previous leg was interrupted.
+    fn run(
+        &self,
+        target: &JobTarget,
+        budget: &RunBudget,
+        resume: Option<Self::Checkpoint>,
+    ) -> Run<Self::Output, Self::Checkpoint>;
+
+    /// The job's result JSON: `output` is the last leg's, `None` before
+    /// any leg returned.
+    fn output_json(&self, kind: &str, output: Option<&Self::Output>, complete: bool) -> Json;
+}
+
+/// The generic adapter from a [`Kernel`] to a supervised [`JobKernel`]:
+/// the leg state machine, snapshot/restore via the checkpoint codec, and
+/// the last worker error.
+pub struct KernelJob<K: Kernel> {
+    kind: &'static str,
+    target: JobTarget,
+    kernel: K,
+    checkpoint: Option<K::Checkpoint>,
+    output: Option<K::Output>,
+    complete: bool,
+    error: Option<String>,
+}
+
+impl<K: Kernel> KernelJob<K> {
+    /// Builds a job of kind `kind` from a request: `parse` reads the
+    /// kernel's parameters, the rest of `ctx` becomes the job's target.
+    ///
+    /// # Errors
+    ///
+    /// Returns `parse`'s message for an invalid request.
+    pub fn build(
+        kind: &'static str,
+        ctx: JobContext<'_>,
+        parse: impl FnOnce(&JobContext<'_>) -> Result<K, String>,
+    ) -> Result<Box<dyn JobKernel>, String> {
+        let kernel = parse(&ctx)?;
+        Ok(Box::new(Self {
+            kind,
+            target: JobTarget {
+                net: ctx.net,
+                faults: ctx.faults,
+                parallelism: ctx.parallelism,
+            },
+            kernel,
+            checkpoint: None,
+            output: None,
+            complete: false,
+            error: None,
+        }))
     }
 }
 
-/// Shared shape of the checkpointed kernels' snapshots: the `started`
-/// flag plus an optional checkpoint object.
-fn snapshot_with_checkpoint(started: bool, checkpoint: Option<Json>) -> Json {
-    Json::Obj(vec![
-        ("started".into(), Json::Bool(started)),
-        ("checkpoint".into(), checkpoint.unwrap_or(Json::Null)),
-    ])
-}
+impl<K: Kernel> JobKernel for KernelJob<K> {
+    fn run_leg(&mut self, budget: &RunBudget) -> RunStatus {
+        // The checkpoint is cloned, not taken: a leg that panics leaves
+        // the job at its last committed state.
+        let run = self
+            .kernel
+            .run(&self.target, budget, self.checkpoint.clone());
+        self.error = run.worker_error.map(|e| e.to_string());
+        self.checkpoint = run.checkpoint;
+        self.complete = run.status.is_complete();
+        self.output = Some(run.output);
+        run.status
+    }
 
-/// Reads back [`snapshot_with_checkpoint`]: `(started, checkpoint)`.
-fn parse_snapshot<'a>(kind: &str, snapshot: &'a Json) -> Result<(bool, Option<&'a Json>), String> {
-    let started = snapshot
-        .get("started")
-        .and_then(Json::as_bool)
-        .ok_or_else(|| format!("{kind} snapshot: bad or missing \"started\""))?;
-    let checkpoint = match snapshot.get("checkpoint") {
-        None | Some(Json::Null) => None,
-        Some(cp) => Some(cp),
-    };
-    Ok((started, checkpoint))
+    fn output(&self) -> Json {
+        self.kernel
+            .output_json(self.kind, self.output.as_ref(), self.complete)
+    }
+
+    fn last_error(&self) -> Option<String> {
+        self.error.clone()
+    }
+
+    fn snapshot(&self) -> Json {
+        self.checkpoint
+            .as_ref()
+            .map_or(Json::Null, Checkpoint::to_json)
+    }
+
+    fn restore(&mut self, snapshot: &Json) -> Result<(), String> {
+        self.checkpoint = match snapshot {
+            Json::Null => None,
+            other => Some(
+                K::Checkpoint::from_json(other)
+                    .map_err(|e| format!("{} snapshot: {e}", self.kind))?,
+            ),
+        };
+        Ok(())
+    }
 }
 
 /// Reads an unsigned-integer parameter with a default.
@@ -132,22 +220,18 @@ pub fn param_u64(params: &Json, key: &str, default: u64) -> u64 {
     params.get(key).and_then(Json::as_u64).unwrap_or(default)
 }
 
-/// Reads a float parameter with a default.
-pub fn param_f64(params: &Json, key: &str, default: f64) -> f64 {
-    params.get(key).and_then(Json::as_f64).unwrap_or(default)
-}
-
-/// Reads a per-input probability vector: the request's `probs` array
-/// when present (validated for arity and range), else `default` for
-/// every input.
+/// Reads the per-input probability vector: the request's `probs` array
+/// when present (validated for arity and range), else 0.5 for every
+/// input.
 ///
 /// # Errors
 ///
 /// Returns a message on arity mismatch, non-numbers, or values outside
 /// `[0, 1]`.
-pub fn param_probs(params: &Json, n: usize, default: f64) -> Result<Vec<f64>, String> {
-    match params.get("probs") {
-        None => Ok(vec![default; n]),
+pub fn param_probs(ctx: &JobContext<'_>) -> Result<Vec<f64>, String> {
+    let n = ctx.net.primary_inputs().len();
+    match ctx.params.get("probs") {
+        None => Ok(vec![0.5; n]),
         Some(Json::Arr(items)) => {
             if items.len() != n {
                 return Err(format!(
@@ -167,94 +251,75 @@ pub fn param_probs(params: &Json, n: usize, default: f64) -> Result<Vec<f64>, St
     }
 }
 
-fn estimates_json(estimates: &[Estimate]) -> Json {
-    Json::Arr(
-        estimates
-            .iter()
-            .map(|e| {
-                Json::Obj(vec![
-                    ("value".into(), Json::Num(e.value)),
-                    ("half_width".into(), Json::Num(e.half_width)),
-                    ("samples".into(), Json::num(e.samples)),
-                ])
-            })
-            .collect(),
-    )
+/// Reads the `confidence` of a length/optimize request, refusing what
+/// the test-length search would reject: a confidence outside `(0, 1)`
+/// or an empty fault list.
+fn param_confidence(ctx: &JobContext<'_>) -> Result<f64, String> {
+    let confidence = ctx
+        .params
+        .get("confidence")
+        .and_then(Json::as_f64)
+        .unwrap_or(DEFAULT_CONFIDENCE);
+    if !(confidence > 0.0 && confidence < 1.0) {
+        return Err(LengthError::BadConfidence(confidence).to_string());
+    }
+    if ctx.faults.is_empty() {
+        return Err(LengthError::EmptyFaultList.to_string());
+    }
+    Ok(confidence)
 }
 
-/// Weighted-random fault simulation ([`FaultSimulator`]) with a
-/// resumable [`FsimCheckpoint`] between legs.
+/// Weighted-random fault simulation ([`FaultSimulator`]).
 pub struct FsimJob {
-    net: Arc<Network>,
-    faults: Vec<FaultEntry>,
-    parallelism: Parallelism,
     seed: u64,
     probs: Vec<f64>,
     max_patterns: u64,
-    state: Option<FsimCheckpoint>,
-    started: bool,
-    outcome: Option<FsimOutcome>,
-    complete: bool,
-    error: Option<String>,
 }
 
 impl FsimJob {
-    /// Builds the job from a request (`patterns`, `seed`, `probs`).
+    /// Reads the request (`patterns`, `seed`, `probs`).
     ///
     /// # Errors
     ///
     /// Returns a message for invalid `probs`.
-    pub fn from_request(ctx: JobContext<'_>) -> Result<Self, String> {
-        let n = ctx.net.primary_inputs().len();
+    pub fn from_request(ctx: &JobContext<'_>) -> Result<Self, String> {
         Ok(Self {
-            probs: param_probs(ctx.params, n, 0.5)?,
+            probs: param_probs(ctx)?,
             seed: param_u64(ctx.params, "seed", DEFAULT_SEED),
             max_patterns: param_u64(ctx.params, "patterns", DEFAULT_WORK),
-            net: ctx.net,
-            faults: ctx.faults,
-            parallelism: ctx.parallelism,
-            state: None,
-            started: false,
-            outcome: None,
-            complete: false,
-            error: None,
         })
     }
 }
 
-impl JobKernel for FsimJob {
-    fn kind(&self) -> &'static str {
-        "fsim"
-    }
+impl Kernel for FsimJob {
+    type Output = FsimOutcome;
+    type Checkpoint = FsimCheckpoint;
 
-    fn run_leg(&mut self, budget: &RunBudget) -> RunStatus {
+    fn run(
+        &self,
+        t: &JobTarget,
+        budget: &RunBudget,
+        resume: Option<FsimCheckpoint>,
+    ) -> Run<FsimOutcome, FsimCheckpoint> {
         // The source is rebuilt per leg: batch addressing in the
         // checkpoint is absolute, so only the stream (seed + weights)
         // matters, not a cursor surviving between legs.
         let mut src = PatternSource::new(self.seed, self.probs.clone());
-        let sim = FaultSimulator::with_parallelism(&self.net, self.parallelism);
-        let run = match self.state.take() {
-            Some(cp) => sim.resume_random(&self.faults, &mut src, cp, budget),
-            None if !self.started => {
-                self.started = true;
-                sim.run_random_budgeted(&self.faults, &mut src, self.max_patterns, budget)
-            }
-            // Completed earlier and re-run: re-report the same result.
-            None => return RunStatus::Completed,
-        };
-        self.error = run.worker_error.map(|e| e.to_string());
-        self.state = run.checkpoint;
-        self.complete = run.status.is_complete();
-        self.outcome = Some(run.outcome);
-        run.status
+        FaultSimulator::with_parallelism(&t.net, t.parallelism).run_random_budgeted(
+            &t.faults,
+            &mut src,
+            self.max_patterns,
+            budget,
+            resume,
+        )
     }
 
-    fn output(&self) -> Json {
-        let Some(out) = &self.outcome else {
-            return Json::Obj(vec![("kind".into(), Json::str("fsim"))]);
+    fn output_json(&self, kind: &str, output: Option<&FsimOutcome>, complete: bool) -> Json {
+        let Some(out) = output else {
+            return Json::Obj(vec![("kind".into(), Json::str(kind))]);
         };
         Json::Obj(vec![
-            ("kind".into(), Json::str("fsim")),
+            ("kind".into(), Json::str(kind)),
             ("patterns".into(), Json::num(out.patterns_applied)),
             ("coverage".into(), Json::Num(out.coverage())),
             (
@@ -266,684 +331,164 @@ impl JobKernel for FsimJob {
                         .collect(),
                 ),
             ),
-            ("complete".into(), Json::Bool(self.complete)),
+            ("complete".into(), Json::Bool(complete)),
         ])
-    }
-
-    fn last_error(&self) -> Option<String> {
-        self.error.clone()
-    }
-
-    fn snapshot(&self) -> Json {
-        snapshot_with_checkpoint(
-            self.started,
-            self.state.as_ref().map(FsimCheckpoint::to_json),
-        )
-    }
-
-    fn restore(&mut self, snapshot: &Json) -> Result<(), String> {
-        let (started, checkpoint) = parse_snapshot("fsim", snapshot)?;
-        self.started = started;
-        self.state = checkpoint.map(FsimCheckpoint::from_json).transpose()?;
-        Ok(())
     }
 }
 
-/// Monte Carlo detection-probability estimation with a resumable
-/// [`McCheckpoint`].
+/// The JSON fields of a Monte Carlo [`Estimate`].
+fn mc_estimate_fields(e: &Estimate) -> Vec<(String, Json)> {
+    vec![
+        ("value".into(), Json::Num(e.value)),
+        ("half_width".into(), Json::Num(e.half_width)),
+        ("samples".into(), Json::num(e.samples)),
+    ]
+}
+
+/// Monte Carlo detection-probability estimation.
 pub struct McDetectJob {
-    net: Arc<Network>,
-    faults: Vec<FaultEntry>,
-    parallelism: Parallelism,
     seed: u64,
     probs: Vec<f64>,
     samples: u64,
-    state: Option<McCheckpoint>,
-    started: bool,
-    estimates: Vec<Estimate>,
-    complete: bool,
-    error: Option<String>,
 }
 
 impl McDetectJob {
-    /// Builds the job from a request (`samples`, `seed`, `probs`).
+    /// Reads the request (`samples`, `seed`, `probs`).
     ///
     /// # Errors
     ///
     /// Returns a message for invalid `probs`.
-    pub fn from_request(ctx: JobContext<'_>) -> Result<Self, String> {
-        let n = ctx.net.primary_inputs().len();
+    pub fn from_request(ctx: &JobContext<'_>) -> Result<Self, String> {
         Ok(Self {
-            probs: param_probs(ctx.params, n, 0.5)?,
+            probs: param_probs(ctx)?,
             seed: param_u64(ctx.params, "seed", DEFAULT_SEED),
             samples: param_u64(ctx.params, "samples", DEFAULT_WORK).max(1),
-            net: ctx.net,
-            faults: ctx.faults,
-            parallelism: ctx.parallelism,
-            state: None,
-            started: false,
-            estimates: Vec::new(),
-            complete: false,
-            error: None,
         })
     }
 }
 
-impl JobKernel for McDetectJob {
-    fn kind(&self) -> &'static str {
-        "mc-detect"
+impl Kernel for McDetectJob {
+    type Output = Vec<Estimate>;
+    type Checkpoint = McCheckpoint;
+
+    fn run(
+        &self,
+        t: &JobTarget,
+        budget: &RunBudget,
+        resume: Option<McCheckpoint>,
+    ) -> Run<Vec<Estimate>, McCheckpoint> {
+        mc_detection_probabilities_budgeted(
+            &t.net,
+            &t.faults,
+            &self.probs,
+            self.seed,
+            self.samples,
+            t.parallelism,
+            budget,
+            resume,
+        )
     }
 
-    fn run_leg(&mut self, budget: &RunBudget) -> RunStatus {
-        let run = match self.state.take() {
-            Some(cp) => mc_detection_resume(
-                &self.net,
-                &self.faults,
-                &self.probs,
-                self.seed,
-                self.parallelism,
-                budget,
-                cp,
-            ),
-            None if !self.started => {
-                self.started = true;
-                mc_detection_probabilities_budgeted(
-                    &self.net,
-                    &self.faults,
-                    &self.probs,
-                    self.seed,
-                    self.samples,
-                    self.parallelism,
-                    budget,
-                )
-            }
-            None => return RunStatus::Completed,
-        };
-        self.error = run.worker_error.map(|e| e.to_string());
-        self.state = run.checkpoint;
-        self.complete = run.status.is_complete();
-        self.estimates = run.estimates;
-        run.status
-    }
-
-    fn output(&self) -> Json {
+    fn output_json(&self, kind: &str, output: Option<&Vec<Estimate>>, complete: bool) -> Json {
+        let estimates = output.map_or(&[][..], Vec::as_slice);
         Json::Obj(vec![
-            ("kind".into(), Json::str("mc-detect")),
-            ("estimates".into(), estimates_json(&self.estimates)),
-            ("complete".into(), Json::Bool(self.complete)),
+            ("kind".into(), Json::str(kind)),
+            (
+                "estimates".into(),
+                Json::Arr(
+                    estimates
+                        .iter()
+                        .map(|e| Json::Obj(mc_estimate_fields(e)))
+                        .collect(),
+                ),
+            ),
+            ("complete".into(), Json::Bool(complete)),
         ])
-    }
-
-    fn last_error(&self) -> Option<String> {
-        self.error.clone()
-    }
-
-    fn snapshot(&self) -> Json {
-        snapshot_with_checkpoint(self.started, self.state.as_ref().map(McCheckpoint::to_json))
-    }
-
-    fn restore(&mut self, snapshot: &Json) -> Result<(), String> {
-        let (started, checkpoint) = parse_snapshot("mc-detect", snapshot)?;
-        self.started = started;
-        self.state = checkpoint.map(McCheckpoint::from_json).transpose()?;
-        Ok(())
     }
 }
 
-/// Monte Carlo signal-probability estimation for one primary output,
-/// with a resumable [`McCheckpoint`].
+/// Monte Carlo signal-probability estimation for one primary output.
 pub struct McSignalJob {
-    net: Arc<Network>,
-    parallelism: Parallelism,
-    output_index: usize,
-    seed: u64,
-    probs: Vec<f64>,
-    samples: u64,
-    state: Option<McCheckpoint>,
-    started: bool,
-    estimate: Option<Estimate>,
-    complete: bool,
-    error: Option<String>,
+    estimator: McDetectJob,
+    output: usize,
 }
 
 impl McSignalJob {
-    /// Builds the job from a request (`output` index, `samples`,
-    /// `seed`, `probs`).
+    /// Reads the request (`output` index, `samples`, `seed`, `probs`).
     ///
     /// # Errors
     ///
     /// Returns a message for invalid `probs` or an out-of-range
     /// `output`.
-    pub fn from_request(ctx: JobContext<'_>) -> Result<Self, String> {
-        let n = ctx.net.primary_inputs().len();
+    pub fn from_request(ctx: &JobContext<'_>) -> Result<Self, String> {
         let outputs = ctx.net.primary_outputs().len();
-        let output_index = param_u64(ctx.params, "output", 0) as usize;
-        if output_index >= outputs {
+        let output = param_u64(ctx.params, "output", 0) as usize;
+        if output >= outputs {
             return Err(format!(
-                "output index {output_index} out of range (network has {outputs} outputs)"
+                "output index {output} out of range (network has {outputs} outputs)"
             ));
         }
         Ok(Self {
-            probs: param_probs(ctx.params, n, 0.5)?,
-            seed: param_u64(ctx.params, "seed", DEFAULT_SEED),
-            samples: param_u64(ctx.params, "samples", DEFAULT_WORK).max(1),
-            output_index,
-            net: ctx.net,
-            parallelism: ctx.parallelism,
-            state: None,
-            started: false,
-            estimate: None,
-            complete: false,
-            error: None,
+            estimator: McDetectJob::from_request(ctx)?,
+            output,
         })
     }
 }
 
-impl JobKernel for McSignalJob {
-    fn kind(&self) -> &'static str {
-        "mc-signal"
-    }
+impl Kernel for McSignalJob {
+    type Output = Estimate;
+    type Checkpoint = McCheckpoint;
 
-    fn run_leg(&mut self, budget: &RunBudget) -> RunStatus {
-        let target = self.net.primary_outputs()[self.output_index];
-        let run = match self.state.take() {
-            Some(cp) => mc_signal_resume(
-                &self.net,
-                target,
-                &self.probs,
-                self.seed,
-                self.parallelism,
-                budget,
-                cp,
-            ),
-            None if !self.started => {
-                self.started = true;
-                mc_signal_probability_budgeted(
-                    &self.net,
-                    target,
-                    &self.probs,
-                    self.seed,
-                    self.samples,
-                    self.parallelism,
-                    budget,
-                )
-            }
-            None => return RunStatus::Completed,
-        };
-        self.error = run.worker_error.map(|e| e.to_string());
-        self.state = run.checkpoint;
-        self.complete = run.status.is_complete();
-        self.estimate = Some(run.estimate);
-        run.status
-    }
-
-    fn output(&self) -> Json {
-        let mut members = vec![
-            ("kind".into(), Json::str("mc-signal")),
-            ("output".into(), Json::num(self.output_index as u64)),
-        ];
-        if let Some(e) = &self.estimate {
-            members.push(("value".into(), Json::Num(e.value)));
-            members.push(("half_width".into(), Json::Num(e.half_width)));
-            members.push(("samples".into(), Json::num(e.samples)));
-        }
-        members.push(("complete".into(), Json::Bool(self.complete)));
-        Json::Obj(members)
-    }
-
-    fn last_error(&self) -> Option<String> {
-        self.error.clone()
-    }
-
-    fn snapshot(&self) -> Json {
-        snapshot_with_checkpoint(self.started, self.state.as_ref().map(McCheckpoint::to_json))
-    }
-
-    fn restore(&mut self, snapshot: &Json) -> Result<(), String> {
-        let (started, checkpoint) = parse_snapshot("mc-signal", snapshot)?;
-        self.started = started;
-        self.state = checkpoint.map(McCheckpoint::from_json).transpose()?;
-        Ok(())
-    }
-}
-
-/// The exact-with-Monte-Carlo-degradation detection estimator
-/// ([`detection_probability_estimates`]). No checkpoint exists for this
-/// kernel, so an interrupted leg (or a process crash — its journal
-/// snapshot is the default `null`) restarts from scratch — completion
-/// is still deterministic because the estimator is a pure function of
-/// `(net, faults, probs, seed)`.
-pub struct DetectEstimatesJob {
-    net: Arc<Network>,
-    faults: Vec<FaultEntry>,
-    parallelism: Parallelism,
-    seed: u64,
-    probs: Vec<f64>,
-    max_exact_rows: Option<u64>,
-    result: Option<Vec<DetectionEstimate>>,
-}
-
-impl DetectEstimatesJob {
-    /// Builds the job from a request (`seed`, `probs`,
-    /// `max_exact_rows`).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for invalid `probs`.
-    pub fn from_request(ctx: JobContext<'_>) -> Result<Self, String> {
-        let n = ctx.net.primary_inputs().len();
-        Ok(Self {
-            probs: param_probs(ctx.params, n, 0.5)?,
-            seed: param_u64(ctx.params, "seed", DEFAULT_SEED),
-            max_exact_rows: ctx.params.get("max_exact_rows").and_then(Json::as_u64),
-            net: ctx.net,
-            faults: ctx.faults,
-            parallelism: ctx.parallelism,
-            result: None,
-        })
-    }
-
-    fn budget_with_rows(&self, budget: &RunBudget) -> RunBudget {
-        let mut b = budget.clone();
-        b.max_exact_rows = self.max_exact_rows.or(b.max_exact_rows);
-        b
-    }
-}
-
-impl JobKernel for DetectEstimatesJob {
-    fn kind(&self) -> &'static str {
-        "detect"
-    }
-
-    fn run_leg(&mut self, budget: &RunBudget) -> RunStatus {
-        if self.result.is_some() {
-            return RunStatus::Completed;
-        }
-        match detection_probability_estimates(
-            &self.net,
-            &self.faults,
-            &self.probs,
-            self.seed,
-            self.parallelism,
-            &self.budget_with_rows(budget),
-        ) {
-            Ok(est) => {
-                self.result = Some(est);
-                RunStatus::Completed
-            }
-            Err(reason) => RunStatus::Interrupted(reason),
-        }
-    }
-
-    fn output(&self) -> Json {
-        let estimates = self.result.as_deref().unwrap_or(&[]);
-        Json::Obj(vec![
-            ("kind".into(), Json::str("detect")),
-            (
-                "estimates".into(),
-                Json::Arr(estimates.iter().map(estimate_json).collect()),
-            ),
-            ("complete".into(), Json::Bool(self.result.is_some())),
-        ])
-    }
-
-    fn snapshot(&self) -> Json {
-        // Stateless by design: the estimator is a pure function of
-        // `(net, faults, probs, seed)`, so there is no cross-leg state
-        // worth journaling — an explicit `null` documents that a
-        // recovered job recomputes from scratch and still completes
-        // bit-identically.
-        Json::Null
-    }
-
-    fn restore(&mut self, snapshot: &Json) -> Result<(), String> {
-        match snapshot {
-            Json::Null => Ok(()),
-            other => Err(format!("detect snapshot: expected null, got {other}")),
-        }
-    }
-}
-
-/// Shared payload shape for a [`DetectionEstimate`]: value, standard
-/// error, engine-tier token, and — for the cutting tier — certified
-/// bounds.
-fn estimate_json(e: &DetectionEstimate) -> Json {
-    let mut fields = vec![
-        ("value".into(), Json::Num(e.value)),
-        ("std_error".into(), Json::Num(e.std_error)),
-        ("method".into(), Json::str(e.method.token())),
-    ];
-    if let Some((lo, hi)) = e.bounds {
-        fields.push(("low".into(), Json::Num(lo)));
-        fields.push(("high".into(), Json::Num(hi)));
-    }
-    Json::Obj(fields)
-}
-
-/// Two-phase test-length job: detection probabilities (phase 1, cached
-/// at the phase boundary) then the joint-confidence length search
-/// (phase 2). Phase 1 has no checkpoint — an interrupted leg restarts
-/// it — but once cached it survives later leg deaths.
-pub struct TestLengthJob {
-    net: Arc<Network>,
-    faults: Vec<FaultEntry>,
-    parallelism: Parallelism,
-    seed: u64,
-    probs: Vec<f64>,
-    confidence: f64,
-    values: Option<Vec<f64>>,
-    length: Option<u64>,
-    failure: Option<String>,
-}
-
-impl TestLengthJob {
-    /// Builds the job from a request (`confidence`, `seed`, `probs`).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for invalid `probs`.
-    pub fn from_request(ctx: JobContext<'_>) -> Result<Self, String> {
-        let n = ctx.net.primary_inputs().len();
-        Ok(Self {
-            probs: param_probs(ctx.params, n, 0.5)?,
-            seed: param_u64(ctx.params, "seed", DEFAULT_SEED),
-            confidence: param_f64(ctx.params, "confidence", DEFAULT_CONFIDENCE),
-            net: ctx.net,
-            faults: ctx.faults,
-            parallelism: ctx.parallelism,
-            values: None,
-            length: None,
-            failure: None,
-        })
-    }
-}
-
-impl JobKernel for TestLengthJob {
-    fn kind(&self) -> &'static str {
-        "length"
-    }
-
-    fn run_leg(&mut self, budget: &RunBudget) -> RunStatus {
-        if self.length.is_some() || self.failure.is_some() {
-            return RunStatus::Completed;
-        }
-        if self.values.is_none() {
-            match detection_probability_estimates(
-                &self.net,
-                &self.faults,
-                &self.probs,
-                self.seed,
-                self.parallelism,
-                budget,
-            ) {
-                Ok(est) => self.values = Some(est.iter().map(|e| e.value).collect()),
-                Err(reason) => return RunStatus::Interrupted(reason),
-            }
-            // Phase boundary: honor the budget before starting the
-            // search so a timed-out leg checkpoints here.
-            if let Some(reason) = budget.stop_requested() {
-                return RunStatus::Interrupted(reason);
-            }
-        }
-        let values = self.values.as_ref().expect("phase 1 done");
-        match test_length_budgeted(values, self.confidence, self.parallelism, budget) {
-            Ok(n) => {
-                self.length = Some(n);
-                RunStatus::Completed
-            }
-            Err(LengthError::Interrupted(reason)) => RunStatus::Interrupted(reason),
-            Err(e) => {
-                // Bad inputs are permanent, not retryable: report the
-                // failure in the output and complete the job.
-                self.failure = Some(e.to_string());
-                RunStatus::Completed
-            }
-        }
-    }
-
-    fn output(&self) -> Json {
-        let mut members = vec![
-            ("kind".into(), Json::str("length")),
-            ("confidence".into(), Json::Num(self.confidence)),
-        ];
-        match self.length {
-            // u64::MAX is the kernels' "some fault is never detected"
-            // sentinel; JSON readers get an explicit flag instead.
-            Some(u64::MAX) => {
-                members.push(("length".into(), Json::Null));
-                members.push(("unbounded".into(), Json::Bool(true)));
-            }
-            Some(n) => members.push(("length".into(), Json::num(n))),
-            None => members.push(("length".into(), Json::Null)),
-        }
-        if let Some(f) = &self.failure {
-            members.push(("error".into(), Json::str(f.clone())));
-        }
-        members.push((
-            "complete".into(),
-            Json::Bool(self.length.is_some() || self.failure.is_some()),
-        ));
-        Json::Obj(members)
-    }
-
-    fn snapshot(&self) -> Json {
-        // The phase-1 cache is the job's only cross-leg state. f64
-        // values round-trip exactly: the JSON emitter uses shortest-
-        // roundtrip formatting, so the phase-2 search sees bit-equal
-        // inputs after a crash.
-        Json::Obj(vec![(
-            "values".into(),
-            match &self.values {
-                Some(vs) => Json::Arr(vs.iter().map(|&v| Json::Num(v)).collect()),
-                None => Json::Null,
-            },
-        )])
-    }
-
-    fn restore(&mut self, snapshot: &Json) -> Result<(), String> {
-        self.values = match snapshot.get("values") {
-            None | Some(Json::Null) => None,
-            Some(Json::Arr(items)) => Some(
-                items
-                    .iter()
-                    .map(|v| {
-                        v.as_f64()
-                            .ok_or_else(|| format!("length snapshot: bad value {v}"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?,
-            ),
-            Some(other) => return Err(format!("length snapshot: bad values {other}")),
-        };
-        Ok(())
-    }
-}
-
-/// Input-probability optimization ([`optimize_input_probabilities_budgeted`]).
-/// The optimizer keeps best-so-far state internally per call but has no
-/// cross-call checkpoint, so an interrupted leg (or a crash-recovered
-/// job — the journal snapshot is the default `null`) restarts the
-/// descent; the job reports the best report seen across legs'
-/// completions.
-pub struct OptimizeJob {
-    net: Arc<Network>,
-    faults: Vec<FaultEntry>,
-    parallelism: Parallelism,
-    confidence: f64,
-    max_sweeps: usize,
-    report: Option<OptimizeReport>,
-    methods: Vec<EstimateMethod>,
-    complete: bool,
-}
-
-impl OptimizeJob {
-    /// Builds the job from a request (`confidence`, `max_sweeps`).
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible; the `Result` keeps the factory signature
-    /// uniform.
-    pub fn from_request(ctx: JobContext<'_>) -> Result<Self, String> {
-        Ok(Self {
-            confidence: param_f64(ctx.params, "confidence", DEFAULT_CONFIDENCE),
-            max_sweeps: param_u64(ctx.params, "max_sweeps", 2) as usize,
-            net: ctx.net,
-            faults: ctx.faults,
-            parallelism: ctx.parallelism,
-            report: None,
-            methods: Vec::new(),
-            complete: false,
-        })
-    }
-}
-
-impl JobKernel for OptimizeJob {
-    fn kind(&self) -> &'static str {
-        "optimize"
-    }
-
-    fn run_leg(&mut self, budget: &RunBudget) -> RunStatus {
-        if self.complete {
-            return RunStatus::Completed;
-        }
-        let run = optimize_input_probabilities_budgeted(
-            &self.net,
-            &self.faults,
-            self.confidence,
-            self.max_sweeps,
-            self.parallelism,
+    fn run(
+        &self,
+        t: &JobTarget,
+        budget: &RunBudget,
+        resume: Option<McCheckpoint>,
+    ) -> Run<Estimate, McCheckpoint> {
+        let e = &self.estimator;
+        mc_signal_probability_budgeted(
+            &t.net,
+            t.net.primary_outputs()[self.output],
+            &e.probs,
+            e.seed,
+            e.samples,
+            t.parallelism,
             budget,
-        );
-        self.complete = run.status.is_complete();
-        self.report = Some(run.report);
-        self.methods = run.methods;
-        run.status
+            resume,
+        )
     }
 
-    fn output(&self) -> Json {
-        let mut members = vec![("kind".into(), Json::str("optimize"))];
-        if let Some(r) = &self.report {
-            members.push((
-                "probabilities".into(),
-                Json::Arr(r.probabilities.iter().map(|&p| Json::Num(p)).collect()),
-            ));
-            members.push(("uniform_length".into(), Json::num(r.uniform_length)));
-            members.push(("optimized_length".into(), Json::num(r.optimized_length)));
-            members.push(("sweeps".into(), Json::num(r.sweeps as u64)));
-            members.push(("tiers".into(), Json::str(tier_census(&self.methods))));
-        }
-        members.push(("complete".into(), Json::Bool(self.complete)));
+    fn output_json(&self, kind: &str, output: Option<&Estimate>, complete: bool) -> Json {
+        let mut members = vec![
+            ("kind".into(), Json::str(kind)),
+            ("output".into(), Json::num(self.output as u64)),
+        ];
+        members.extend(output.into_iter().flat_map(mc_estimate_fields));
+        members.push(("complete".into(), Json::Bool(complete)));
         Json::Obj(members)
-    }
-
-    fn snapshot(&self) -> Json {
-        // The best-so-far report is the job's cross-leg state: a
-        // crash between legs must not forget a finished descent (the
-        // engine would otherwise re-run it and, worse, report
-        // `complete: false` forever if the budget shrank). Lengths use
-        // the `u64::MAX` = "unbounded" sentinel, which exceeds 2^53 and
-        // cannot ride a JSON number exactly, so it serializes as null.
-        let Some(r) = &self.report else {
-            return Json::Null;
-        };
-        let length = |n: u64| match n {
-            u64::MAX => Json::Null,
-            n => Json::num(n),
-        };
-        Json::Obj(vec![
-            (
-                "probabilities".into(),
-                Json::Arr(r.probabilities.iter().map(|&p| Json::Num(p)).collect()),
-            ),
-            ("uniform_length".into(), length(r.uniform_length)),
-            ("optimized_length".into(), length(r.optimized_length)),
-            ("sweeps".into(), Json::num(r.sweeps as u64)),
-            (
-                "methods".into(),
-                Json::Arr(self.methods.iter().map(|m| Json::str(m.token())).collect()),
-            ),
-            ("complete".into(), Json::Bool(self.complete)),
-        ])
-    }
-
-    fn restore(&mut self, snapshot: &Json) -> Result<(), String> {
-        if matches!(snapshot, Json::Null) {
-            return Ok(());
-        }
-        let probabilities = match snapshot.get("probabilities") {
-            Some(Json::Arr(items)) => items
-                .iter()
-                .map(|v| {
-                    v.as_f64()
-                        .ok_or_else(|| format!("optimize snapshot: bad probability {v}"))
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            other => return Err(format!("optimize snapshot: bad probabilities {other:?}")),
-        };
-        let length = |key: &str| -> Result<u64, String> {
-            match snapshot.get(key) {
-                None | Some(Json::Null) => Ok(u64::MAX),
-                Some(v) => v
-                    .as_u64()
-                    .ok_or_else(|| format!("optimize snapshot: bad {key} {v}")),
-            }
-        };
-        let sweeps = snapshot
-            .get("sweeps")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| "optimize snapshot: missing sweeps".to_owned())?;
-        self.methods = match snapshot.get("methods") {
-            None | Some(Json::Null) => Vec::new(),
-            Some(Json::Arr(items)) => items
-                .iter()
-                .map(|v| {
-                    v.as_str()
-                        .ok_or_else(|| format!("optimize snapshot: bad method {v}"))
-                        .and_then(EstimateMethod::from_token)
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            Some(other) => return Err(format!("optimize snapshot: bad methods {other}")),
-        };
-        self.report = Some(OptimizeReport {
-            probabilities,
-            uniform_length: length("uniform_length")?,
-            optimized_length: length("optimized_length")?,
-            sweeps: sweeps as usize,
-        });
-        self.complete = snapshot
-            .get("complete")
-            .and_then(Json::as_bool)
-            .unwrap_or(false);
-        Ok(())
     }
 }
 
-/// Streaming tiered testability job: detection probabilities for the
-/// whole fault list via the [`DetectionEngine`], committed one fault at
-/// a time. Unlike `detect`, this kernel checkpoints mid-list — the
-/// snapshot carries every committed estimate, and the engine's
-/// per-fault values are batch-independent — so a crash-recovered job
-/// resumes at the last journaled fault boundary and still completes
-/// bit-identical to an uninterrupted run.
+/// Streaming tiered testability ([`detection_probability_estimates`]),
+/// committed one fault at a time: the checkpoint carries every committed
+/// estimate, so a resumed job continues at the last fault boundary. The
+/// `detect` kind is an alias of this kernel.
 pub struct TestabilityJob {
-    net: Arc<Network>,
-    faults: Vec<FaultEntry>,
-    parallelism: Parallelism,
     probs: Vec<f64>,
     config: TestabilityConfig,
-    /// Committed estimates for faults `0..done.len()`, in list order.
-    done: Vec<DetectionEstimate>,
+    max_exact_rows: Option<u64>,
 }
 
 impl TestabilityJob {
-    /// Builds the job from a request (`probs`, `seed`, `mode`,
-    /// `node_budget`, `tighten_samples`). An absent `mode` follows the
-    /// process-wide `DYNMOS_TESTABILITY` policy.
+    /// Reads the request (`probs`, `seed`, `mode`, `node_budget`,
+    /// `tighten_samples`, `max_exact_rows`). An absent `mode` follows
+    /// the process-wide `DYNMOS_TESTABILITY` policy.
     ///
     /// # Errors
     ///
-    /// Returns a message for invalid `probs` or an unknown `mode`.
-    pub fn from_request(ctx: JobContext<'_>) -> Result<Self, String> {
-        let n = ctx.net.primary_inputs().len();
+    /// Returns a message for invalid `probs`, an unknown `mode`, or a
+    /// `tighten_samples` above 2^20.
+    pub fn from_request(ctx: &JobContext<'_>) -> Result<Self, String> {
         let mut config =
             TestabilityConfig::from_env().with_seed(param_u64(ctx.params, "seed", DEFAULT_SEED));
         if let Some(token) = ctx.params.get("mode").and_then(Json::as_str) {
@@ -953,152 +498,236 @@ impl TestabilityJob {
             config = config.with_node_budget(nodes as usize);
         }
         if let Some(samples) = ctx.params.get("tighten_samples").and_then(Json::as_u64) {
+            if samples > MAX_TIGHTEN_SAMPLES {
+                return Err(format!(
+                    "tighten_samples {samples} exceeds the limit of {MAX_TIGHTEN_SAMPLES}"
+                ));
+            }
             config = config.with_mc_tighten_samples(samples);
         }
         Ok(Self {
-            probs: param_probs(ctx.params, n, 0.5)?,
+            probs: param_probs(ctx)?,
             config,
-            net: ctx.net,
-            faults: ctx.faults,
-            parallelism: ctx.parallelism,
-            done: Vec::new(),
+            max_exact_rows: ctx.params.get("max_exact_rows").and_then(Json::as_u64),
         })
-    }
-
-    fn complete(&self) -> bool {
-        self.done.len() >= self.faults.len()
     }
 }
 
-impl JobKernel for TestabilityJob {
-    fn kind(&self) -> &'static str {
-        "testability"
+impl Kernel for TestabilityJob {
+    type Output = Vec<DetectionEstimate>;
+    type Checkpoint = TestabilityCheckpoint;
+
+    fn run(
+        &self,
+        t: &JobTarget,
+        budget: &RunBudget,
+        resume: Option<TestabilityCheckpoint>,
+    ) -> Run<Vec<DetectionEstimate>, TestabilityCheckpoint> {
+        let mut budget = budget.clone();
+        budget.max_exact_rows = self.max_exact_rows.or(budget.max_exact_rows);
+        detection_probability_estimates(
+            &t.net,
+            &t.faults,
+            &self.probs,
+            &self.config,
+            t.parallelism,
+            &budget,
+            resume,
+        )
     }
 
-    fn run_leg(&mut self, budget: &RunBudget) -> RunStatus {
-        if self.complete() {
-            return RunStatus::Completed;
-        }
-        // The engine borrows the network, so each leg builds a fresh
-        // one; per-fault values are engine-instance-independent (the
-        // streaming contract of `estimates_from`), so legs compose
-        // bit-identically.
-        let mut engine = DetectionEngine::new(&self.net, &self.faults, self.config.clone())
-            .with_parallelism(self.parallelism);
-        let start = self.done.len();
-        let done = &mut self.done;
-        engine.estimates_from(start, &self.probs, budget, &mut |i, est| {
-            debug_assert_eq!(i, done.len());
-            done.push(est);
-        })
-    }
-
-    fn output(&self) -> Json {
+    fn output_json(
+        &self,
+        kind: &str,
+        output: Option<&Vec<DetectionEstimate>>,
+        complete: bool,
+    ) -> Json {
+        let estimates = output.map_or(&[][..], Vec::as_slice);
         Json::Obj(vec![
-            ("kind".into(), Json::str("testability")),
+            ("kind".into(), Json::str(kind)),
             (
                 "estimates".into(),
-                Json::Arr(self.done.iter().map(estimate_json).collect()),
+                Json::Arr(estimates.iter().map(estimate_json).collect()),
             ),
             (
                 "tiers".into(),
-                Json::str(tier_census(self.done.iter().map(|e| &e.method))),
+                Json::str(tier_census(estimates.iter().map(|e| &e.method))),
             ),
-            ("complete".into(), Json::Bool(self.complete())),
+            ("complete".into(), Json::Bool(complete)),
         ])
     }
+}
 
-    fn snapshot(&self) -> Json {
-        Json::Obj(vec![
-            ("next".into(), Json::num(self.done.len() as u64)),
-            (
-                "estimates".into(),
-                Json::Arr(self.done.iter().map(estimate_json).collect()),
-            ),
-        ])
-    }
+/// Two-phase test length: detection probabilities (phase 1, the
+/// streaming testability kernel), then the joint-confidence length
+/// search (phase 2, no checkpoint — an interrupted search restarts).
+/// The checkpoint is phase 1's: once it holds every fault, later legs
+/// skip straight to the search.
+pub struct TestLengthJob {
+    estimates: TestabilityJob,
+    confidence: f64,
+}
 
-    fn restore(&mut self, snapshot: &Json) -> Result<(), String> {
-        if matches!(snapshot, Json::Null) {
-            return Ok(());
-        }
-        let next = snapshot
-            .get("next")
-            .and_then(Json::as_u64)
-            .ok_or("testability snapshot: bad or missing \"next\"")? as usize;
-        let items = match snapshot.get("estimates") {
-            Some(Json::Arr(items)) => items,
-            _ => return Err("testability snapshot: bad or missing \"estimates\"".into()),
+impl TestLengthJob {
+    /// Reads the request (`confidence`, `seed`, `probs`).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message for invalid `probs`, a `confidence` outside
+    /// `(0, 1)`, or an empty fault list.
+    pub fn from_request(ctx: &JobContext<'_>) -> Result<Self, String> {
+        let estimates = TestabilityJob {
+            probs: param_probs(ctx)?,
+            config: TestabilityConfig::from_env().with_seed(param_u64(
+                ctx.params,
+                "seed",
+                DEFAULT_SEED,
+            )),
+            max_exact_rows: None,
         };
-        if next != items.len() || next > self.faults.len() {
-            return Err(format!(
-                "testability snapshot: next={next} disagrees with {} estimates over {} faults",
-                items.len(),
-                self.faults.len()
-            ));
-        }
-        let mut done = Vec::with_capacity(items.len());
-        for item in items {
-            done.push(estimate_from_json(item)?);
-        }
-        self.done = done;
-        Ok(())
+        Ok(Self {
+            estimates,
+            confidence: param_confidence(ctx)?,
+        })
     }
 }
 
-/// Inverse of [`estimate_json`], for snapshot restore. The JSON writer
-/// prints floats in Rust's shortest round-trip form, so the restored
-/// values are bit-identical to the committed ones.
-fn estimate_from_json(item: &Json) -> Result<DetectionEstimate, String> {
-    let value = item
-        .get("value")
-        .and_then(Json::as_f64)
-        .ok_or("estimate: bad or missing \"value\"")?;
-    let std_error = item
-        .get("std_error")
-        .and_then(Json::as_f64)
-        .ok_or("estimate: bad or missing \"std_error\"")?;
-    let token = item
-        .get("method")
-        .and_then(Json::as_str)
-        .ok_or("estimate: bad or missing \"method\"")?;
-    let method = EstimateMethod::from_token(token)?;
-    let bounds = match (
-        item.get("low").and_then(Json::as_f64),
-        item.get("high").and_then(Json::as_f64),
-    ) {
-        (Some(lo), Some(hi)) => Some((lo, hi)),
-        (None, None) => None,
-        _ => return Err("estimate: bounds need both \"low\" and \"high\"".into()),
-    };
-    Ok(DetectionEstimate {
-        value,
-        std_error,
-        method,
-        bounds,
-    })
+impl Kernel for TestLengthJob {
+    type Output = Option<u64>;
+    type Checkpoint = TestabilityCheckpoint;
+
+    fn run(
+        &self,
+        t: &JobTarget,
+        budget: &RunBudget,
+        resume: Option<TestabilityCheckpoint>,
+    ) -> Run<Option<u64>, TestabilityCheckpoint> {
+        let phase1 = match resume {
+            Some(cp) if cp.estimates.len() == t.faults.len() => cp,
+            resume => {
+                let run = self.estimates.run(t, budget, resume);
+                if !run.status.is_complete() {
+                    return run.map(|_| None);
+                }
+                let cp = TestabilityCheckpoint {
+                    estimates: run.output,
+                };
+                // Phase boundary: honor the budget before starting the
+                // search so a timed-out leg checkpoints here.
+                if let Some(reason) = budget.stop_requested() {
+                    return Run::interrupted(None, reason, cp);
+                }
+                cp
+            }
+        };
+        let values: Vec<f64> = phase1.estimates.iter().map(|e| e.value).collect();
+        match test_length_budgeted(&values, self.confidence, t.parallelism, budget) {
+            Ok(n) => Run::completed(Some(n)),
+            Err(LengthError::Interrupted(reason)) => Run::interrupted(None, reason, phase1),
+            // Confidence and fault count were validated at submit.
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    fn output_json(&self, kind: &str, output: Option<&Option<u64>>, complete: bool) -> Json {
+        let mut members = vec![
+            ("kind".into(), Json::str(kind)),
+            ("confidence".into(), Json::Num(self.confidence)),
+        ];
+        match output.copied().flatten() {
+            // u64::MAX is the kernels' "some fault is never detected"
+            // sentinel; JSON readers get an explicit flag instead.
+            Some(u64::MAX) => {
+                members.push(("length".into(), Json::Null));
+                members.push(("unbounded".into(), Json::Bool(true)));
+            }
+            Some(n) => members.push(("length".into(), Json::num(n))),
+            None => members.push(("length".into(), Json::Null)),
+        }
+        members.push(("complete".into(), Json::Bool(complete)));
+        Json::Obj(members)
+    }
 }
 
-/// Builds a built-in kernel for `kind`, or `None` when the kind is not
+/// Input-probability optimization
+/// ([`optimize_input_probabilities_budgeted`]). The descent has no
+/// checkpoint: an interrupted leg (or a crash-recovered job) restarts
+/// it, and the job reports the last leg's report.
+pub struct OptimizeJob {
+    confidence: f64,
+    max_sweeps: usize,
+}
+
+impl OptimizeJob {
+    /// Reads the request (`confidence`, `max_sweeps`).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message for a `confidence` outside `(0, 1)` or an
+    /// empty fault list.
+    pub fn from_request(ctx: &JobContext<'_>) -> Result<Self, String> {
+        Ok(Self {
+            confidence: param_confidence(ctx)?,
+            max_sweeps: param_u64(ctx.params, "max_sweeps", 2) as usize,
+        })
+    }
+}
+
+impl Kernel for OptimizeJob {
+    type Output = OptimizeReport;
+    type Checkpoint = NoCheckpoint;
+
+    fn run(
+        &self,
+        t: &JobTarget,
+        budget: &RunBudget,
+        _: Option<NoCheckpoint>,
+    ) -> Run<OptimizeReport, NoCheckpoint> {
+        optimize_input_probabilities_budgeted(
+            &t.net,
+            &t.faults,
+            self.confidence,
+            self.max_sweeps,
+            &TestabilityConfig::from_env().with_seed(OPT_MC_SEED),
+            t.parallelism,
+            budget,
+        )
+    }
+
+    fn output_json(&self, kind: &str, output: Option<&OptimizeReport>, complete: bool) -> Json {
+        let mut members = vec![("kind".into(), Json::str(kind))];
+        if let Some(r) = output {
+            members.push((
+                "probabilities".into(),
+                Json::Arr(r.probabilities.iter().map(|&p| Json::Num(p)).collect()),
+            ));
+            members.push(("uniform_length".into(), Json::num(r.uniform_length)));
+            members.push(("optimized_length".into(), Json::num(r.optimized_length)));
+            members.push(("sweeps".into(), Json::num(r.sweeps as u64)));
+            members.push(("tiers".into(), Json::str(tier_census(&r.methods))));
+        }
+        members.push(("complete".into(), Json::Bool(complete)));
+        Json::Obj(members)
+    }
+}
+
+/// Builds a built-in job for `kind`, or `None` when the kind is not
 /// built in (the engine then consults its registered factories).
 ///
-/// Built-in kinds: `fsim`, `mc-detect`, `mc-signal`, `detect`,
-/// `length`, `optimize`, `testability`.
+/// Built-in kinds: `fsim`, `mc-detect`, `mc-signal`, `detect` (an alias
+/// of `testability`), `length`, `optimize`, `testability`.
 pub fn build_builtin(
     kind: &str,
     ctx: JobContext<'_>,
 ) -> Option<Result<Box<dyn JobKernel>, String>> {
-    fn boxed<K: JobKernel + 'static>(r: Result<K, String>) -> Result<Box<dyn JobKernel>, String> {
-        r.map(|k| Box::new(k) as Box<dyn JobKernel>)
-    }
     Some(match kind {
-        "fsim" => boxed(FsimJob::from_request(ctx)),
-        "mc-detect" => boxed(McDetectJob::from_request(ctx)),
-        "mc-signal" => boxed(McSignalJob::from_request(ctx)),
-        "detect" => boxed(DetectEstimatesJob::from_request(ctx)),
-        "length" => boxed(TestLengthJob::from_request(ctx)),
-        "optimize" => boxed(OptimizeJob::from_request(ctx)),
-        "testability" => boxed(TestabilityJob::from_request(ctx)),
+        "fsim" => KernelJob::build("fsim", ctx, FsimJob::from_request),
+        "mc-detect" => KernelJob::build("mc-detect", ctx, McDetectJob::from_request),
+        "mc-signal" => KernelJob::build("mc-signal", ctx, McSignalJob::from_request),
+        "detect" => KernelJob::build("detect", ctx, TestabilityJob::from_request),
+        "length" => KernelJob::build("length", ctx, TestLengthJob::from_request),
+        "optimize" => KernelJob::build("optimize", ctx, OptimizeJob::from_request),
+        "testability" => KernelJob::build("testability", ctx, TestabilityJob::from_request),
         _ => return None,
     })
 }

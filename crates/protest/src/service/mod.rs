@@ -2,11 +2,11 @@
 //! budgeted PROTEST kernels.
 //!
 //! Every budgeted kernel in this crate (weighted-random fault
-//! simulation, both Monte Carlo estimators, the exact/MC detection
+//! simulation, both Monte Carlo estimators, the tiered testability
 //! estimator, test length, input-probability optimization — plus ATPG
-//! via `dynmos_atpg::service`) is wrapped behind the
-//! [`JobKernel`] abstraction and run by [`JobEngine`], a supervisor
-//! loop providing:
+//! via `dynmos_atpg::service`) is a [`Kernel`], wrapped by the one
+//! generic [`KernelJob`] adapter into the [`JobKernel`] abstraction and
+//! run by [`JobEngine`], a supervisor loop providing:
 //!
 //! - **deadline/timeout** per job, derived from [`crate::RunBudget`]
 //!   (the job's `timeout_ms` becomes the budget deadline of every leg);
@@ -52,6 +52,6 @@ pub mod json;
 
 pub use cache::{network_fingerprint, CacheStats, NetlistFormat, NetworkCache};
 pub use engine::{BackoffPolicy, EngineConfig, Job, JobEngine, JobRecord, JobStatus, Rejection};
-pub use jobs::{build_builtin, JobContext, JobKernel};
+pub use jobs::{build_builtin, JobContext, JobKernel, JobTarget, Kernel, KernelJob};
 pub use journal::{Journal, RecoveredJob, Recovery, JOURNAL_FILE};
 pub use json::{Json, JsonError};

@@ -38,10 +38,11 @@
 //! the row space does not fit the budget (refusing outright would make
 //! the knob unusable on exactly the circuits this engine exists for).
 
-use crate::budget::{RunBudget, RunStatus, StopReason};
+use crate::budget::{Checkpoint, RunBudget, RunStatus, StopReason};
 use crate::detect::{row_space, DetectionEstimate, EstimateMethod, ExactDetector};
 use crate::list::FaultEntry;
 use crate::parallel::Parallelism;
+use crate::service::json::Json;
 use dynmos_logic::{Bdd, BddRef, Bexpr, VarId};
 use dynmos_netlist::{Network, NetworkFault};
 use std::collections::HashMap;
@@ -198,6 +199,101 @@ pub fn tier_census<'a>(methods: impl IntoIterator<Item = &'a EstimateMethod>) ->
         }
     }
     format!("exact:{exact},bdd:{bdd},cutting:{cutting},mc:{mc}")
+}
+
+/// Resumable state of an interrupted whole-list estimation
+/// ([`crate::detection_probability_estimates`]): the committed
+/// estimates of faults `0..estimates.len()`, in list order. Per-fault
+/// values are batch-independent (see
+/// [`DetectionEngine::estimates_from`]), so a run resumed here — even in
+/// a fresh process — completes bit-identical to an uninterrupted one.
+#[derive(Debug, Clone)]
+pub struct TestabilityCheckpoint {
+    /// The committed estimates.
+    pub estimates: Vec<DetectionEstimate>,
+}
+
+impl Checkpoint for TestabilityCheckpoint {
+    fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("next".into(), Json::num(self.estimates.len() as u64)),
+            (
+                "estimates".into(),
+                Json::Arr(self.estimates.iter().map(estimate_json).collect()),
+            ),
+        ])
+    }
+
+    fn from_json(v: &Json) -> Result<Self, String> {
+        let next = v
+            .get("next")
+            .and_then(Json::as_u64)
+            .ok_or("testability checkpoint: bad or missing \"next\"")?;
+        let items = v
+            .get("estimates")
+            .and_then(Json::as_arr)
+            .ok_or("testability checkpoint: bad or missing \"estimates\"")?;
+        if next != items.len() as u64 {
+            return Err(format!(
+                "testability checkpoint: next={next} disagrees with {} estimates",
+                items.len()
+            ));
+        }
+        let estimates = items
+            .iter()
+            .map(estimate_from_json)
+            .collect::<Result<_, _>>()?;
+        Ok(Self { estimates })
+    }
+}
+
+/// The JSON form of a [`DetectionEstimate`] — shared by checkpoints and
+/// service payloads: value, standard error, engine-tier token, and — for
+/// the cutting tier — certified bounds.
+pub(crate) fn estimate_json(e: &DetectionEstimate) -> Json {
+    let mut fields = vec![
+        ("value".into(), Json::Num(e.value)),
+        ("std_error".into(), Json::Num(e.std_error)),
+        ("method".into(), Json::str(e.method.token())),
+    ];
+    if let Some((lo, hi)) = e.bounds {
+        fields.push(("low".into(), Json::Num(lo)));
+        fields.push(("high".into(), Json::Num(hi)));
+    }
+    Json::Obj(fields)
+}
+
+/// Inverse of [`estimate_json`]. The JSON writer prints floats in
+/// Rust's shortest round-trip form, so restored values are
+/// bit-identical to the committed ones.
+fn estimate_from_json(item: &Json) -> Result<DetectionEstimate, String> {
+    let value = item
+        .get("value")
+        .and_then(Json::as_f64)
+        .ok_or("estimate: bad or missing \"value\"")?;
+    let std_error = item
+        .get("std_error")
+        .and_then(Json::as_f64)
+        .ok_or("estimate: bad or missing \"std_error\"")?;
+    let token = item
+        .get("method")
+        .and_then(Json::as_str)
+        .ok_or("estimate: bad or missing \"method\"")?;
+    let method = EstimateMethod::from_token(token)?;
+    let bounds = match (
+        item.get("low").and_then(Json::as_f64),
+        item.get("high").and_then(Json::as_f64),
+    ) {
+        (Some(lo), Some(hi)) => Some((lo, hi)),
+        (None, None) => None,
+        _ => return Err("estimate: bounds need both \"low\" and \"high\"".into()),
+    };
+    Ok(DetectionEstimate {
+        value,
+        std_error,
+        method,
+        bounds,
+    })
 }
 
 /// How many faults the exact tier enumerates between budget checks.
@@ -559,9 +655,9 @@ impl<'n> DetectionEngine<'n> {
     /// optionally tightened by a per-fault Monte Carlo run whose seed is
     /// derived from the fault index (batch-independent, so resumed runs
     /// reproduce the same value). The tightening run is deliberately not
-    /// placed under the caller's budget: its sample count is small and
-    /// bounded, and an always-complete run keeps committed values
-    /// independent of leg timing.
+    /// placed under the caller's budget: its sample count is small (the
+    /// job service refuses requests above 2^20), and an always-complete
+    /// run keeps committed values independent of leg timing.
     fn tightened_estimate(
         &self,
         i: usize,
@@ -579,7 +675,9 @@ impl<'n> DetectionEngine<'n> {
             };
         }
         let seed = per_fault_seed(self.config.seed, i);
-        let run = crate::montecarlo::mc_detection_probabilities_budgeted(
+        // Serial and unlimited: one inline chunk that cannot be
+        // interrupted.
+        let e = crate::montecarlo::mc_detection_probabilities_budgeted(
             self.net,
             std::slice::from_ref(&self.faults[i]),
             pi_probs,
@@ -587,25 +685,14 @@ impl<'n> DetectionEngine<'n> {
             samples,
             Parallelism::Serial,
             &RunBudget::unlimited(),
-        );
-        match run.status {
-            RunStatus::Completed => {
-                let e = &run.estimates[0];
-                DetectionEstimate {
-                    value: e.value.clamp(lo, hi),
-                    std_error: e.std_error().min(0.5 * (hi - lo)),
-                    method: EstimateMethod::Cutting,
-                    bounds: Some((lo, hi)),
-                }
-            }
-            // Unreachable with an unlimited budget; keep the midpoint as
-            // a defensive fallback rather than panicking.
-            RunStatus::Interrupted(_) => DetectionEstimate {
-                value: 0.5 * (lo + hi),
-                std_error: 0.5 * (hi - lo),
-                method: EstimateMethod::Cutting,
-                bounds: Some((lo, hi)),
-            },
+            None,
+        )
+        .output[0];
+        DetectionEstimate {
+            value: e.value.clamp(lo, hi),
+            std_error: e.std_error().min(0.5 * (hi - lo)),
+            method: EstimateMethod::Cutting,
+            bounds: Some((lo, hi)),
         }
     }
 }

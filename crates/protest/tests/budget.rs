@@ -7,11 +7,10 @@
 
 use dynmos_netlist::generate::ripple_adder;
 use dynmos_protest::{
-    detection_probability_estimates_with, mc_detection_probabilities_budgeted,
-    mc_detection_probabilities_par, mc_detection_resume, mc_signal_probability_budgeted,
-    mc_signal_probability_par, mc_signal_resume, stuck_fault_list, EstimateMethod, FaultEntry,
-    FaultSimulator, Parallelism, PatternSource, RunBudget, RunStatus, StopReason,
-    TestabilityConfig, TierMode,
+    detection_probability_estimates, mc_detection_probabilities_budgeted,
+    mc_detection_probabilities_par, mc_signal_probability_budgeted, mc_signal_probability_par,
+    stuck_fault_list, EstimateMethod, FaultEntry, FaultSimulator, Parallelism, PatternSource,
+    RunBudget, RunStatus, StopReason, TestabilityConfig, TierMode,
 };
 use std::time::Duration;
 
@@ -51,7 +50,7 @@ fn interrupted_fsim_resumes_bit_identical_to_serial() {
             let leg = || RunBudget::unlimited().with_max_patterns(1024);
             let mut src = PatternSource::new(SEED, probs.clone());
             let sim = FaultSimulator::with_parallelism(&net, Parallelism::Fixed(threads));
-            let mut run = sim.run_random_budgeted(&faults, &mut src, PATTERN_BUDGET, &leg());
+            let mut run = sim.run_random_budgeted(&faults, &mut src, PATTERN_BUDGET, &leg(), None);
             let mut legs = 1usize;
             while let Some(cp) = run.checkpoint.take() {
                 assert_eq!(
@@ -61,8 +60,8 @@ fn interrupted_fsim_resumes_bit_identical_to_serial() {
                 );
                 // Partial outcomes are valid: never more patterns than
                 // the cap allows, detections a prefix of the final set.
-                assert!(run.outcome.patterns_applied <= legs as u64 * 1024);
-                run = sim.resume_random(&faults, &mut src, cp, &leg());
+                assert!(run.output.patterns_applied <= legs as u64 * 1024);
+                run = sim.run_random_budgeted(&faults, &mut src, PATTERN_BUDGET, &leg(), Some(cp));
                 legs += 1;
             }
             assert!(
@@ -71,15 +70,15 @@ fn interrupted_fsim_resumes_bit_identical_to_serial() {
             );
             assert!(run.status.is_complete());
             assert_eq!(
-                run.outcome.detected_at, serial.detected_at,
+                run.output.detected_at, serial.detected_at,
                 "{fault_count} faults: detection indices differ at {threads} threads"
             );
             assert_eq!(
-                run.outcome.patterns_applied, serial.patterns_applied,
+                run.output.patterns_applied, serial.patterns_applied,
                 "{fault_count} faults: pattern counts differ at {threads} threads"
             );
             assert_eq!(
-                run.outcome.coverage_curve, serial.coverage_curve,
+                run.output.coverage_curve, serial.coverage_curve,
                 "{fault_count} faults: coverage curves differ at {threads} threads"
             );
             assert_eq!(
@@ -109,17 +108,17 @@ fn expired_deadline_legs_still_complete_and_match_serial() {
     let leg = || RunBudget::deadline_in(Duration::ZERO);
     let mut src = PatternSource::new(7, probs.clone());
     let sim = FaultSimulator::with_parallelism(&net, Parallelism::Fixed(2));
-    let mut run = sim.run_random_budgeted(&faults, &mut src, 4096, &leg());
+    let mut run = sim.run_random_budgeted(&faults, &mut src, 4096, &leg(), None);
     let mut legs = 1usize;
     while let Some(cp) = run.checkpoint.take() {
-        run = sim.resume_random(&faults, &mut src, cp, &leg());
+        run = sim.run_random_budgeted(&faults, &mut src, 4096, &leg(), Some(cp));
         legs += 1;
         assert!(legs < 10_000, "no forward progress under expired deadline");
     }
     assert!(run.status.is_complete());
-    assert_eq!(run.outcome.detected_at, serial.detected_at);
-    assert_eq!(run.outcome.patterns_applied, serial.patterns_applied);
-    assert_eq!(run.outcome.coverage_curve, serial.coverage_curve);
+    assert_eq!(run.output.detected_at, serial.detected_at);
+    assert_eq!(run.output.patterns_applied, serial.patterns_applied);
+    assert_eq!(run.output.coverage_curve, serial.coverage_curve);
     assert_eq!(src.position(), serial_src.position());
 }
 
@@ -149,17 +148,27 @@ fn interrupted_mc_detection_resumes_bit_identical() {
                 samples,
                 par,
                 &leg(),
+                None,
             );
             let mut legs = 1usize;
             while let Some(cp) = run.checkpoint.take() {
                 assert_eq!(run.status, RunStatus::Interrupted(StopReason::PatternCap));
-                run = mc_detection_resume(&net, &faults, &probs, 42, par, &leg(), cp);
+                run = mc_detection_probabilities_budgeted(
+                    &net,
+                    &faults,
+                    &probs,
+                    42,
+                    samples,
+                    par,
+                    &leg(),
+                    Some(cp),
+                );
                 legs += 1;
             }
             assert!(legs > 1, "{fault_count} faults at {threads} threads");
             assert!(run.status.is_complete());
             assert_eq!(
-                run.estimates, serial,
+                run.output, serial,
                 "{fault_count} faults: estimates differ at {threads} threads"
             );
         }
@@ -177,15 +186,17 @@ fn interrupted_mc_signal_resumes_bit_identical() {
     for threads in THREAD_COUNTS {
         let par = Parallelism::Fixed(threads);
         let leg = || RunBudget::unlimited().with_max_patterns(2048);
-        let mut run = mc_signal_probability_budgeted(&net, po, &probs, 99, 7_777, par, &leg());
+        let mut run =
+            mc_signal_probability_budgeted(&net, po, &probs, 99, 7_777, par, &leg(), None);
         let mut legs = 1usize;
         while let Some(cp) = run.checkpoint.take() {
-            run = mc_signal_resume(&net, po, &probs, 99, par, &leg(), cp);
+            run =
+                mc_signal_probability_budgeted(&net, po, &probs, 99, 7_777, par, &leg(), Some(cp));
             legs += 1;
         }
         assert!(legs > 1, "threads={threads}");
         assert!(run.status.is_complete());
-        assert_eq!(run.estimate, serial, "threads={threads}");
+        assert_eq!(run.output, serial, "threads={threads}");
     }
 }
 
@@ -218,7 +229,7 @@ fn double_panicking_worker_surfaces_error_and_keeps_merged_coverage() {
     let inert = Arc::new(FaultPlan::new(0));
     let mut src = PatternSource::new(SEED, probs.clone());
     let run = chaos::scoped(inert.clone(), || {
-        sim.run_random_budgeted(&faults, &mut src, PATTERN_BUDGET, &leg())
+        sim.run_random_budgeted(&faults, &mut src, PATTERN_BUDGET, &leg(), None)
     });
     assert_eq!(run.status, RunStatus::Interrupted(StopReason::PatternCap));
     assert!(run.worker_error.is_none());
@@ -232,7 +243,9 @@ fn double_panicking_worker_surfaces_error_and_keeps_merged_coverage() {
     // the error, and keep the checkpoint at the leg-1 boundary (the
     // failed chunk is not merged).
     let hostile = Arc::new(FaultPlan::new(3).worker_panic_persistent(1.0));
-    let run = chaos::scoped(hostile, || sim.resume_random(&faults, &mut src, cp, &leg()));
+    let run = chaos::scoped(hostile, || {
+        sim.run_random_budgeted(&faults, &mut src, PATTERN_BUDGET, &leg(), Some(cp))
+    });
     assert_eq!(run.status, RunStatus::Interrupted(StopReason::WorkerFailed));
     let err = run.worker_error.expect("shard error travels with the stop");
     assert!(
@@ -258,17 +271,17 @@ fn double_panicking_worker_surfaces_error_and_keeps_merged_coverage() {
     // weights matter.
     let mut src = PatternSource::new(SEED, probs.clone());
     let run = chaos::scoped(inert, || {
-        let mut run = sim.resume_random(&faults, &mut src, cp, &leg());
+        let mut run = sim.run_random_budgeted(&faults, &mut src, PATTERN_BUDGET, &leg(), Some(cp));
         while let Some(cp) = run.checkpoint.take() {
-            run = sim.resume_random(&faults, &mut src, cp, &leg());
+            run = sim.run_random_budgeted(&faults, &mut src, PATTERN_BUDGET, &leg(), Some(cp));
         }
         run
     });
     assert!(run.status.is_complete());
     assert!(run.worker_error.is_none());
-    assert_eq!(run.outcome.detected_at, serial.detected_at);
-    assert_eq!(run.outcome.patterns_applied, serial.patterns_applied);
-    assert_eq!(run.outcome.coverage_curve, serial.coverage_curve);
+    assert_eq!(run.output.detected_at, serial.detected_at);
+    assert_eq!(run.output.patterns_applied, serial.patterns_applied);
+    assert_eq!(run.output.coverage_curve, serial.coverage_curve);
 }
 
 /// The over-cap degradation rule through the public estimator: within
@@ -282,15 +295,17 @@ fn estimator_degrades_exactly_at_the_row_cap() {
     let faults: Vec<FaultEntry> = stuck_fault_list(&net).into_iter().take(8).collect();
     let n = net.primary_inputs().len();
     let probs = vec![0.5f64; n];
-    let est = detection_probability_estimates_with(
+    let run = detection_probability_estimates(
         &net,
         &faults,
         &probs,
+        &TestabilityConfig::new(TierMode::Auto).with_seed(0xBEEF),
         Parallelism::Fixed(2),
         &RunBudget::unlimited().with_max_exact_rows(1 << 12),
-        &TestabilityConfig::new(TierMode::Auto).with_seed(0xBEEF),
-    )
-    .expect("completes");
+        None,
+    );
+    assert!(run.status.is_complete(), "completes");
+    let est = run.output;
     assert!(est.iter().all(|e| e.method == EstimateMethod::Bdd));
     assert!(est.iter().all(|e| e.std_error == 0.0));
     assert!(est.iter().any(|e| e.value > 0.0));

@@ -13,7 +13,7 @@ use dynmos_protest::service::{
     build_builtin, JobContext, JobKernel, Journal, NetlistFormat, NetworkCache, JOURNAL_FILE,
 };
 use dynmos_protest::{
-    BackoffPolicy, EngineConfig, FaultPlan, FsimCheckpoint, JobEngine, JobStatus, Json,
+    BackoffPolicy, Checkpoint, EngineConfig, FaultPlan, FsimCheckpoint, JobEngine, JobStatus, Json,
     McCheckpoint, Parallelism, RunBudget, RunStatus,
 };
 use proptest::prelude::*;
@@ -170,12 +170,45 @@ proptest! {
             .map_err(|e| e.to_string())?;
     }
 
-    /// A live kernel snapshot survives the full wire path: snapshot →
-    /// text → parse → restore on a fresh kernel, which then finishes
-    /// bit-identical to an undisturbed kernel.
+    /// A live job snapshot survives the full wire path for every
+    /// checkpointed kind: snapshot → text → parse → restore on a fresh
+    /// job, which then finishes bit-identical to an undisturbed job. A
+    /// snapshot in the older `{"started":…,"checkpoint":…}` shape is
+    /// refused with an error naming the kind, never misread.
     #[test]
-    fn fsim_snapshot_restore_is_bit_identical(legs_before in 1u64..4, leg_patterns in 64u64..512) {
-        let params = hard_fsim_request(4096);
+    fn snapshot_restore_is_bit_identical(
+        kind in 0usize..4,
+        legs_before in 1u64..4,
+        leg_patterns in 64u64..512,
+    ) {
+        let (kind, mut params, leg, finish) = match kind {
+            // Pattern-capped legs keep fsim and both Monte Carlo kinds
+            // mid-run for several legs.
+            0 => (
+                "fsim",
+                hard_fsim_request(4096),
+                RunBudget::unlimited().with_max_patterns(leg_patterns),
+                RunBudget::unlimited().with_max_patterns(leg_patterns),
+            ),
+            1 | 2 => (
+                if kind == 1 { "mc-detect" } else { "mc-signal" },
+                fsim_request(0),
+                RunBudget::unlimited().with_max_patterns(leg_patterns),
+                RunBudget::unlimited().with_max_patterns(leg_patterns),
+            ),
+            // An expired deadline commits one fault per leg of the
+            // length job's detection phase; its search has no
+            // checkpoint, so the finish runs unbudgeted.
+            _ => (
+                "length",
+                fsim_request(0),
+                RunBudget::deadline_in(Duration::ZERO),
+                RunBudget::unlimited(),
+            ),
+        };
+        if let Json::Obj(members) = &mut params {
+            members.push(("samples".into(), Json::num(8192u64)));
+        }
         let mut cache = NetworkCache::new(0);
         let bench = ripple_adder_bench_text(3);
         let net = cache.get_or_compile(NetlistFormat::Bench, &bench, None).unwrap();
@@ -187,34 +220,43 @@ proptest! {
             parallelism: Parallelism::Fixed(2),
             params: &params,
         };
-        let leg = RunBudget::unlimited().with_max_patterns(leg_patterns);
         let run_to_end = |k: &mut Box<dyn JobKernel>| {
             for _ in 0..10_000 {
-                if matches!(k.run_leg(&leg), RunStatus::Completed) {
+                if matches!(k.run_leg(&finish), RunStatus::Completed) {
                     return;
                 }
             }
-            panic!("kernel did not complete");
+            panic!("{kind} job did not complete");
         };
 
-        // Interrupt a kernel after a few legs and ship its snapshot
-        // through the journal's text encoding; the biased weights
-        // guarantee the kernel is still mid-run when snapshotted.
-        let mut k1 = build_builtin("fsim", ctx()).unwrap().unwrap();
+        // Interrupt a job after a few legs and ship its snapshot
+        // through the journal's text encoding; the leg budgets
+        // guarantee the job is still mid-run when snapshotted.
+        let mut k1 = build_builtin(kind, ctx()).unwrap().unwrap();
         for _ in 0..legs_before {
             let status = k1.run_leg(&leg);
             prop_assert!(
                 !matches!(status, RunStatus::Completed),
-                "hard request completed early"
+                "{} request completed early",
+                kind
             );
         }
         let snapshot = Json::parse(&k1.snapshot().to_string()).unwrap();
+        prop_assert!(snapshot != Json::Null, "{} left no checkpoint", kind);
 
-        let mut resumed = build_builtin("fsim", ctx()).unwrap().unwrap();
+        let mut resumed = build_builtin(kind, ctx()).unwrap().unwrap();
+        let old_shape = Json::Obj(vec![
+            ("started".into(), Json::Bool(true)),
+            ("checkpoint".into(), snapshot.clone()),
+        ]);
+        match resumed.restore(&old_shape) {
+            Ok(()) => prop_assert!(false, "{} accepted an old-shape snapshot", kind),
+            Err(e) => prop_assert!(e.contains(kind), "error {:?} does not name {}", e, kind),
+        }
         resumed.restore(&snapshot).map_err(|e| e.to_string())?;
         run_to_end(&mut resumed);
 
-        let mut reference = build_builtin("fsim", ctx()).unwrap().unwrap();
+        let mut reference = build_builtin(kind, ctx()).unwrap().unwrap();
         run_to_end(&mut reference);
 
         prop_assert_eq!(resumed.output().to_string(), reference.output().to_string());

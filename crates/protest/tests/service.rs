@@ -296,8 +296,104 @@ fn bad_requests_are_rejected_with_reasons() {
     );
     let error = verdict.get("error").and_then(Json::as_str).unwrap();
     assert!(error.contains("unknown job kind"), "{error}");
+    // Inputs the length search cannot take are refused at submit, not
+    // discovered by a panicking (and retried) leg.
+    let cell = r#""TECHNOLOGY domino-CMOS; INPUT a,b,c; OUTPUT z; z := a*b + c;""#;
+    for (kind, extra, needle) in [
+        (
+            "optimize",
+            r#""confidence":1.5"#,
+            "confidence must be in (0,1)",
+        ),
+        (
+            "length",
+            r#""confidence":1.5"#,
+            "confidence must be in (0,1)",
+        ),
+        ("optimize", r#""fault_limit":0"#, "need at least one fault"),
+        ("length", r#""fault_limit":0"#, "need at least one fault"),
+    ] {
+        let request = format!(r#"{{"kind":"{kind}","format":"cell","netlist":{cell},{extra}}}"#);
+        let verdict = engine.submit_json(&Json::parse(&request).unwrap());
+        assert_eq!(verdict.get("ok").and_then(Json::as_bool), Some(false));
+        let error = verdict.get("error").and_then(Json::as_str).unwrap();
+        assert!(
+            error.starts_with(&format!("bad {kind} request: ")) && error.contains(needle),
+            "{kind} {extra}: error {error:?} lacks {needle:?}"
+        );
+    }
     // Still serving.
     submit_ok(&mut engine, &fsim_request(&bench, 16));
+}
+
+/// `detect` is an alias of the testability kernel: its records keep
+/// `"kind":"detect"` and it still honours `max_exact_rows` (a row cap
+/// below the cell's 2^3 rows moves every fault off the exact tier).
+#[test]
+fn detect_alias_keeps_its_kind_and_row_cap() {
+    let mut engine = JobEngine::new(test_config());
+    let cell = r#""TECHNOLOGY domino-CMOS; INPUT a,b,c; OUTPUT z; z := a*b + c;""#;
+    for (extra, tier) in [("", "exact"), (r#","max_exact_rows":4"#, "bdd")] {
+        submit_ok(
+            &mut engine,
+            &format!(
+                r#"{{"kind":"detect","format":"cell","netlist":{cell},"mode":"auto"{extra}}}"#
+            ),
+        );
+        let record = engine.run_next().expect("queued");
+        assert_eq!(record.status, JobStatus::Completed);
+        assert_eq!(record.kind, "detect");
+        let result = &record.result;
+        assert_eq!(result.get("kind").and_then(Json::as_str), Some("detect"));
+        let Some(Json::Arr(estimates)) = result.get("estimates") else {
+            panic!("no estimates: {result}");
+        };
+        assert!(!estimates.is_empty());
+        for e in estimates {
+            assert_eq!(
+                e.get("method").and_then(Json::as_str),
+                Some(tier),
+                "{result}"
+            );
+        }
+    }
+}
+
+/// Cutting-tier tightening runs outside the job budget, so its sample
+/// count is capped at submit: 2^20 is admitted, anything above is
+/// refused with a reason — for `testability` and its `detect` alias.
+#[test]
+fn oversized_tighten_samples_are_refused_at_submit() {
+    let mut engine = JobEngine::new(test_config());
+    let cell = r#""TECHNOLOGY domino-CMOS; INPUT a,b,c; OUTPUT z; z := a*b + c;""#;
+    let request = |kind: &str, samples: u64| {
+        Json::parse(&format!(
+            r#"{{"kind":"{kind}","format":"cell","netlist":{cell},"mode":"cutting","tighten_samples":{samples},"timeout_ms":200}}"#
+        ))
+        .unwrap()
+    };
+    for kind in ["testability", "detect"] {
+        for samples in [(1u64 << 20) + 1, 2_000_000_000] {
+            let verdict = engine.submit_json(&request(kind, samples));
+            assert_eq!(verdict.get("ok").and_then(Json::as_bool), Some(false));
+            let error = verdict.get("error").and_then(Json::as_str).unwrap();
+            assert!(
+                error.starts_with(&format!("bad {kind} request: tighten_samples {samples}")),
+                "{kind}: {error}"
+            );
+        }
+        let verdict = engine.submit_json(&request(kind, 1 << 20));
+        assert_eq!(
+            verdict.get("ok").and_then(Json::as_bool),
+            Some(true),
+            "{verdict}"
+        );
+    }
+    assert_eq!(
+        engine.pending(),
+        2,
+        "only the in-limit requests were admitted"
+    );
 }
 
 /// Backoff delays are deterministic, exponential up to the cap, and

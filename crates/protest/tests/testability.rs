@@ -6,7 +6,7 @@
 use dynmos_netlist::generate::{carry_chain, random_domino_network, ripple_adder};
 use dynmos_protest::service::build_builtin;
 use dynmos_protest::{
-    network_fault_list, optimize_input_probabilities_with, stuck_fault_list, DetectionEngine,
+    network_fault_list, optimize_input_probabilities_budgeted, stuck_fault_list, DetectionEngine,
     EstimateMethod, ExactDetector, JobContext, Json, Parallelism, RunBudget, RunStatus,
     TestabilityConfig, TierMode,
 };
@@ -89,29 +89,31 @@ fn optimizer_completes_on_ripple_adder_80_with_method_tags() {
     assert_eq!(net.primary_inputs().len(), 161);
     let faults = stuck_fault_list(&net);
     let budget = RunBudget::deadline_in(Duration::from_secs(600));
-    let run = optimize_input_probabilities_with(
+    let run = optimize_input_probabilities_budgeted(
         &net,
         &faults,
         0.999,
-        0, // the uniform + grid scan alone is the acceptance bar here
+        0,
+        &TestabilityConfig::new(TierMode::Auto),
+        // the uniform + grid scan alone is the acceptance bar here
         Parallelism::default(),
         &budget,
-        &TestabilityConfig::new(TierMode::Auto),
     );
     assert!(run.status.is_complete(), "status {:?}", run.status);
-    assert_eq!(run.methods.len(), faults.len());
+    assert_eq!(run.output.methods.len(), faults.len());
     assert!(
-        run.methods
+        run.output
+            .methods
             .iter()
             .all(|&m| m == EstimateMethod::Bdd || m == EstimateMethod::Cutting),
         "161 inputs must resolve to the symbolic tiers"
     );
     assert!(
-        run.methods.contains(&EstimateMethod::Bdd),
+        run.output.methods.contains(&EstimateMethod::Bdd),
         "the adder's cones fit the default node budget"
     );
-    assert!(run.report.optimized_length <= run.report.uniform_length);
-    assert_eq!(run.report.probabilities.len(), 161);
+    assert!(run.output.optimized_length <= run.output.uniform_length);
+    assert_eq!(run.output.probabilities.len(), 161);
 }
 
 /// The `testability` kernel's durability contract: a run sliced into

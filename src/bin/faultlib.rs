@@ -40,9 +40,9 @@ use dynmos::model::{FaultLibrary, FaultUniverse};
 use dynmos::netlist::generate::single_cell_network;
 use dynmos::netlist::parse_cell;
 use dynmos::protest::{
-    env_budget_ms, network_fault_list, optimize_input_probabilities_budgeted, tier_census,
-    try_test_length, DetectionEngine, DetectionEstimate, EngineConfig, EstimateMethod, JobEngine,
-    Json, LengthError, Parallelism, RunBudget, RunStatus, StopReason, TestabilityConfig,
+    env_budget_ms, network_fault_list, optimize_input_probabilities_budgeted, test_length_budgeted,
+    tier_census, DetectionEngine, DetectionEstimate, EngineConfig, EstimateMethod, JobEngine, Json,
+    LengthError, Parallelism, RunBudget, RunStatus, StopReason, TestabilityConfig, OPT_MC_SEED,
 };
 use std::io::{BufRead, Read, Write};
 use std::panic::catch_unwind;
@@ -235,7 +235,12 @@ fn classic(args: &[String]) -> ExitCode {
         Some(_) => format!("tiers {census}"),
     };
     println!();
-    match try_test_length(&values, 0.999) {
+    match test_length_budgeted(
+        &values,
+        0.999,
+        Parallelism::default(),
+        &RunBudget::unlimited(),
+    ) {
         Ok(u64::MAX) => {
             println!(
                 "random test (uniform inputs, {method}): hardest detection probability \
@@ -268,10 +273,12 @@ fn classic(args: &[String]) -> ExitCode {
             &faults,
             0.999,
             4,
+            &TestabilityConfig::from_env().with_seed(OPT_MC_SEED),
             Parallelism::default(),
             &run_budget,
         );
-        let census = tier_census(&run.methods);
+        let r = &run.output;
+        let census = tier_census(&r.methods);
         let fmt_len = |n: u64| {
             if n == u64::MAX {
                 "unbounded".to_owned()
@@ -279,7 +286,6 @@ fn classic(args: &[String]) -> ExitCode {
                 n.to_string()
             }
         };
-        let r = &run.report;
         let shown: Vec<String> = r.probabilities.iter().map(|p| format!("{p:.4}")).collect();
         println!("optimized input probabilities (tiers {census}):");
         println!("  [{}]", shown.join(", "));
