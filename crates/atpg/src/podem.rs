@@ -128,7 +128,12 @@ pub fn generate_test(net: &Network, fault: &NetworkFault, max_backtracks: u64) -
     // everything else is the same function in both machines. Restricting
     // the difference check to these makes the no-difference pruning sharp
     // (an X elsewhere is noise, not an opportunity).
-    let observable = observable_outputs(net, fault);
+    let observable: Vec<_> = net
+        .prepare_fault(fault)
+        .observable_outputs()
+        .iter()
+        .map(|&po| net.primary_outputs()[po as usize])
+        .collect();
     let site = fault_site(net, fault);
     match search(
         net,
@@ -252,29 +257,6 @@ fn fault_site(net: &Network, fault: &NetworkFault) -> dynmos_netlist::NetId {
         NetworkFault::NetStuck(netid, _) => *netid,
         NetworkFault::GateFunction(g, _) => net.gates()[g.index()].output,
     }
-}
-
-/// Primary outputs reachable from the fault site — the only ones the two
-/// machines can disagree on.
-fn observable_outputs(net: &Network, fault: &NetworkFault) -> Vec<dynmos_netlist::NetId> {
-    let site: dynmos_netlist::NetId = match fault {
-        NetworkFault::NetStuck(netid, _) => *netid,
-        NetworkFault::GateFunction(g, _) => net.gates()[g.index()].output,
-    };
-    // Forward reachability over consumer arcs.
-    let mut reach = vec![false; net.net_count()];
-    reach[site.index()] = true;
-    for &g in net.topo_order() {
-        let inst = &net.gates()[g.index()];
-        if inst.inputs.iter().any(|i| reach[i.index()]) {
-            reach[inst.output.index()] = true;
-        }
-    }
-    net.primary_outputs()
-        .iter()
-        .copied()
-        .filter(|po| reach[po.index()])
-        .collect()
 }
 
 /// PI decision order: inputs in the faulty gate's cone first, *sorted by

@@ -33,15 +33,23 @@
 //! # Fault cones
 //!
 //! For serial-fault simulation the faulty machine differs from the good
-//! machine only in the transitive fanout cone of the fault site. At build
-//! time this module precomputes, for every gate, the topological
-//! positions of its fanout cone and the primary outputs the cone reaches;
-//! and for every net, the same data for the net's *readers* (the cone
-//! that matters when the net itself is forced, since the driver's own
-//! computation is overridden). [`PackedEvaluator::fault_diff64`] then
-//! copies nothing but the fault site, replays only the cone's tape
-//! slices, compares only the reachable outputs, and restores the touched
-//! slots — `O(cone)` per fault instead of `O(network)`.
+//! machine only in the transitive fanout cone of the fault site, and
+//! within that cone only where a difference actually propagates. At build
+//! time this module records each net's *readers* (the gates that read it,
+//! as words of a bitset over topological positions) and precomputes, for
+//! every gate and every net, the static cone and the primary outputs it
+//! reaches.
+//!
+//! [`PackedEvaluator::fault_diff64`] replays a fault event-driven: it
+//! injects the fault at its site, then re-evaluates, in topological
+//! order, only the gates marked pending because one of their inputs
+//! differs from the good machine. A gate whose output comes out equal
+//! marks nothing; one whose output differs in some lane is recorded as
+//! touched and marks its readers. A gate whose inputs all equal the good
+//! machine computes the good value, so skipping it cannot change a
+//! result. Restoring copies back only the touched slots, and the
+//! per-fault cost is `O(active cone)` — the gates a difference reaches —
+//! bounded by the static cone.
 
 use crate::network::{GateInstance, GateRef, NetId, Network, NetworkFault};
 use dynmos_logic::{Bexpr, VarId};
@@ -246,8 +254,12 @@ pub struct CompiledNetwork {
     gate_slice: Vec<(u32, u32)>,
     /// Output net slot per topological position.
     gate_output: Vec<u32>,
-    /// Gate index → topological position.
-    gate_pos: Vec<u32>,
+    /// Readers of each net as a CSR pair over the pending bitset: the
+    /// gates reading net `n` are the set bits of the `(block, mask)`
+    /// words `reader_words[reader_start[n]..reader_start[n + 1]]`, one
+    /// word per 64 topological positions, blocks ascending.
+    reader_start: Vec<u32>,
+    reader_words: Vec<(u32, u64)>,
     /// Per gate index: topological positions of the transitive fanout
     /// cone, **including the gate itself**, ascending.
     gate_cone: Vec<Box<[u32]>>,
@@ -297,11 +309,9 @@ impl CompiledNetwork {
         let mut tape = Tape::default();
         let mut gate_slice = Vec::with_capacity(topo.len());
         let mut gate_output = Vec::with_capacity(topo.len());
-        let mut gate_pos = vec![0u32; gates.len()];
         let mut max_scratch = 0u32;
         let scratch_base = net_count as u32;
-        for (pos, &g) in topo.iter().enumerate() {
-            gate_pos[g.index()] = pos as u32;
+        for &g in topo {
             let inst = &gates[g.index()];
             let function = cells[inst.cell].logic_function();
             let start = tape.len();
@@ -322,11 +332,15 @@ impl CompiledNetwork {
         // topological order: cone(g) = {g} ∪ ⋃ cone(readers of g's out).
         let n_gates = topo.len();
         let blocks = bitset_blocks(n_gates);
-        // Readers of each net, as topological positions.
+        // Readers of each net, as ascending topological positions (a gate
+        // reading a net twice is listed once).
         let mut readers: Vec<Vec<u32>> = vec![Vec::new(); net_count];
         for (pos, &g) in topo.iter().enumerate() {
             for &input in &gates[g.index()].inputs {
-                readers[input.index()].push(pos as u32);
+                let list = &mut readers[input.index()];
+                if list.last() != Some(&(pos as u32)) {
+                    list.push(pos as u32);
+                }
             }
         }
         let mut cone_bits = vec![0u64; n_gates * blocks];
@@ -402,6 +416,20 @@ impl CompiledNetwork {
             net_cone_pos.push(pos_of_cone(&cone, Some(net)));
             net_cone.push(cone);
         }
+        let mut reader_start = Vec::with_capacity(net_count + 1);
+        let mut reader_words: Vec<(u32, u64)> = Vec::new();
+        for list in &readers {
+            reader_start.push(reader_words.len() as u32);
+            let first = reader_words.len();
+            for &p in list {
+                let (block, bit) = (p / 64, 1u64 << (p % 64));
+                match reader_words[first..].last_mut() {
+                    Some((b, mask)) if *b == block => *mask |= bit,
+                    _ => reader_words.push((block, bit)),
+                }
+            }
+        }
+        reader_start.push(reader_words.len() as u32);
 
         Self {
             net_count: net_count as u32,
@@ -409,7 +437,8 @@ impl CompiledNetwork {
             tape,
             gate_slice,
             gate_output,
-            gate_pos,
+            reader_start,
+            reader_words,
             gate_cone,
             gate_cone_pos,
             net_cone,
@@ -417,6 +446,12 @@ impl CompiledNetwork {
             po_slots: primary_outputs.iter().map(|n| n.index() as u32).collect(),
             pi_slots: primary_inputs.iter().map(|n| n.index() as u32).collect(),
         }
+    }
+
+    /// The gates reading net slot `net`, as `(block, mask)` words of the
+    /// pending bitset, blocks ascending.
+    fn readers(&self, net: usize) -> &[(u32, u64)] {
+        &self.reader_words[self.reader_start[net] as usize..self.reader_start[net + 1] as usize]
     }
 
     /// Number of tape instructions (a size metric for benches and tests).
@@ -478,7 +513,7 @@ impl CompiledNetwork {
                 );
                 PreparedFault {
                     kind: PreparedKind::GateFn {
-                        pos: self.gate_pos[g.index()],
+                        out: inst.output.index() as u32,
                         tape,
                         slots_needed: high,
                     },
@@ -494,9 +529,9 @@ impl CompiledNetwork {
 enum PreparedKind {
     /// Force a net slot to a constant and replay its reader cone.
     Stuck { slot: u32, value: bool },
-    /// Replace the tape slice of the gate at topological position `pos`.
+    /// Evaluate the gate driving slot `out` with a private tape.
     GateFn {
-        pos: u32,
+        out: u32,
         tape: Tape,
         /// Exclusive slot high-water mark of the private tape (may
         /// exceed the network's shared scratch region).
@@ -515,7 +550,9 @@ pub struct PreparedFault<'n> {
 }
 
 impl PreparedFault<'_> {
-    /// Number of gates re-evaluated per batch for this fault.
+    /// Number of gates in this fault's static cone: an upper bound on the
+    /// gates one replay re-evaluates (see
+    /// [`PackedEvaluator::gates_replayed`]).
     pub fn cone_size(&self) -> usize {
         self.cone.len()
     }
@@ -527,9 +564,9 @@ impl PreparedFault<'_> {
     }
 
     /// The topological positions (ascending indices into
-    /// [`Network::topo_order`]) of the gates this fault's cone replays —
-    /// the same cone a symbolic engine must rebuild with the fault
-    /// injected.
+    /// [`Network::topo_order`]) of the gates in this fault's static cone —
+    /// every gate a difference at the fault site can reach, and the cone
+    /// a symbolic engine must rebuild with the fault injected.
     pub fn cone_positions(&self) -> &[u32] {
         self.cone
     }
@@ -571,10 +608,19 @@ pub struct PackedEvaluator<'n> {
     width: usize,
     /// Good-machine slot values, slot-major (`slot * width + w`).
     good: Vec<u64>,
-    /// Faulty-machine buffer; net slots mirror `good` between faults.
+    /// Faulty-machine buffer. While `synced`, its net slots equal `good`
+    /// everywhere outside `touched`.
     faulty: Vec<u64>,
-    /// Whether `faulty`'s net slots currently mirror `good`.
+    /// Whether `faulty` holds the current batch (see above).
     synced: bool,
+    /// Net slots where the last replay's faulty machine differs from the
+    /// good one; copied back at the start of the next replay.
+    touched: Vec<u32>,
+    /// Gates awaiting replay: a bitset over topological positions, empty
+    /// between calls.
+    pending: Vec<u64>,
+    /// Gates evaluated by fault replays since construction.
+    gates_replayed: u64,
 }
 
 impl<'n> PackedEvaluator<'n> {
@@ -591,19 +637,32 @@ impl<'n> PackedEvaluator<'n> {
     /// Panics if `width == 0`.
     pub fn with_width(net: &'n Network, width: usize) -> Self {
         assert!(width > 0, "need at least one lane word");
-        let slots = net.compiled().slot_count() * width;
+        let c = net.compiled();
+        let slots = c.slot_count() * width;
         Self {
             net,
             width,
             good: vec![0; slots],
             faulty: vec![0; slots],
             synced: false,
+            touched: Vec::new(),
+            pending: vec![0; bitset_blocks(c.gate_output.len())],
+            gates_replayed: 0,
         }
     }
 
     /// Words per slot.
     pub fn width(&self) -> usize {
         self.width
+    }
+
+    /// The number of gates fault replays have evaluated since this
+    /// evaluator was built, the faulty gate itself included. Each replay
+    /// evaluates only the gates a difference from the good machine
+    /// reaches, so it adds at most [`PreparedFault::cone_size`], and 0
+    /// for a stuck-at fault its site already satisfies in every lane.
+    pub fn gates_replayed(&self) -> u64 {
+        self.gates_replayed
     }
 
     /// Evaluates the good machine on one batch. `pi_words` is
@@ -645,27 +704,39 @@ impl<'n> PackedEvaluator<'n> {
         self.good[c.po_slots[po_index] as usize * self.width + w]
     }
 
-    fn sync_faulty(&mut self) {
-        if !self.synced {
-            let nets = self.net.compiled().net_count as usize * self.width;
+    /// Restores `faulty`'s net slots to `good`: only the touched slots
+    /// while the batch is unchanged, all of them after a new batch.
+    fn restore(&mut self) {
+        let width = self.width;
+        if self.synced {
+            for &slot in &self.touched {
+                let d = slot as usize * width;
+                self.faulty[d..d + width].copy_from_slice(&self.good[d..d + width]);
+            }
+        } else {
+            let nets = self.net.compiled().net_count as usize * width;
             self.faulty[..nets].copy_from_slice(&self.good[..nets]);
             self.synced = true;
         }
+        self.touched.clear();
     }
 
+    /// Injects `fault` and replays, in topological order, every gate one
+    /// of whose inputs differs from the good machine. On return `faulty`
+    /// holds the faulty machine and `touched` lists the net slots where
+    /// it differs from `good`.
     fn inject_and_replay(&mut self, fault: &PreparedFault<'_>) {
         let c = self.net.compiled();
         let width = self.width;
-        self.sync_faulty();
-        let mut fault_pos = u32::MAX;
-        let mut fault_tape: Option<&Tape> = None;
-        match &fault.kind {
+        self.restore();
+        let site = match &fault.kind {
             PreparedKind::Stuck { slot, value } => {
                 let d = *slot as usize * width;
                 self.faulty[d..d + width].fill(if *value { !0 } else { 0 });
+                *slot
             }
             PreparedKind::GateFn {
-                pos,
+                out,
                 tape,
                 slots_needed,
             } => {
@@ -673,37 +744,62 @@ impl<'n> PackedEvaluator<'n> {
                 if self.faulty.len() < need {
                     self.faulty.resize(need, 0);
                 }
-                fault_pos = *pos;
-                fault_tape = Some(tape);
-            }
-        }
-        for &p in fault.cone {
-            if p == fault_pos {
-                let tape = fault_tape.expect("fault position implies a tape");
                 tape.execute(0..tape.op.len(), &mut self.faulty, width);
-            } else {
-                let (start, end) = c.gate_slice[p as usize];
-                c.tape
-                    .execute(start as usize..end as usize, &mut self.faulty, width);
+                self.gates_replayed += 1;
+                *out
             }
+        };
+        let good = &self.good[..];
+        let (faulty, touched, pending) =
+            (&mut self.faulty[..], &mut self.touched, &mut self.pending);
+        let differs = |faulty: &[u64], slot: u32| {
+            let d = slot as usize * width;
+            let (f, g) = (&faulty[d..d + width], &good[d..d + width]);
+            f.iter().zip(g).fold(0, |acc, (f, g)| acc | (f ^ g)) != 0
+        };
+        if !differs(faulty, site) {
+            return;
         }
+        touched.push(site);
+        let readers = c.readers(site as usize);
+        for &(rb, mask) in readers {
+            pending[rb as usize] |= mask;
+        }
+        let mut end = readers.last().map_or(0, |&(rb, _)| rb as usize + 1);
+        let mut block = readers.first().map_or(0, |&(rb, _)| rb as usize);
+        let mut replayed = 0;
+        // Readers sit after the gate that marks them, so one ascending
+        // sweep pops every pending position in topological order. The
+        // block being swept lives in `word`; marks into it go there.
+        while block < end {
+            let mut word = std::mem::take(&mut pending[block]);
+            while word != 0 {
+                let p = block * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                let (start, stop) = c.gate_slice[p];
+                c.tape.execute(start as usize..stop as usize, faulty, width);
+                replayed += 1;
+                let out = c.gate_output[p];
+                if differs(faulty, out) {
+                    touched.push(out);
+                    let readers = c.readers(out as usize);
+                    for &(rb, mask) in readers {
+                        if rb as usize == block {
+                            word |= mask;
+                        } else {
+                            pending[rb as usize] |= mask;
+                        }
+                    }
+                    end = end.max(readers.last().map_or(0, |&(rb, _)| rb as usize + 1));
+                }
+            }
+            block += 1;
+        }
+        self.gates_replayed += replayed;
     }
 
-    fn restore(&mut self, fault: &PreparedFault<'_>) {
-        let c = self.net.compiled();
-        let width = self.width;
-        if let PreparedKind::Stuck { slot, .. } = &fault.kind {
-            let d = *slot as usize * width;
-            self.faulty[d..d + width].copy_from_slice(&self.good[d..d + width]);
-        }
-        for &p in fault.cone {
-            let d = c.gate_output[p as usize] as usize * width;
-            self.faulty[d..d + width].copy_from_slice(&self.good[d..d + width]);
-        }
-    }
-
-    /// Replays `fault`'s cone against the last evaluated batch and
-    /// returns, for each lane word, the OR over all primary outputs of
+    /// Replays `fault` against the last evaluated batch and returns, for
+    /// each lane word, the OR over all primary outputs of
     /// `good XOR faulty` — bit `k` set means pattern `k` detects the
     /// fault. `out.len()` must equal [`Self::width`].
     ///
@@ -722,7 +818,6 @@ impl<'n> PackedEvaluator<'n> {
                 *o |= self.good[d + w] ^ self.faulty[d + w];
             }
         }
-        self.restore(fault);
     }
 
     /// [`Self::fault_diff`] for the common `width == 1` evaluator.
@@ -732,24 +827,17 @@ impl<'n> PackedEvaluator<'n> {
     /// Panics if the evaluator was built with `width != 1`.
     pub fn fault_diff64(&mut self, fault: &PreparedFault<'_>) -> u64 {
         assert_eq!(self.width, 1, "fault_diff64 requires a width-1 evaluator");
-        self.inject_and_replay(fault);
-        let c = self.net.compiled();
-        let mut differ = 0u64;
-        for &po in fault.outputs {
-            let d = c.po_slots[po as usize] as usize;
-            differ |= self.good[d] ^ self.faulty[d];
-        }
-        self.restore(fault);
-        differ
+        let mut differ = [0u64];
+        self.fault_diff(fault, &mut differ);
+        differ[0]
     }
 
-    /// Evaluates the faulty machine for *all* nets: replays the cone and
-    /// returns the full net-value slice (cone nets faulty, the rest equal
-    /// to the good machine — which is exactly what an unobservable net
-    /// is). The buffer is left dirty and re-synced on the next use.
+    /// Evaluates the faulty machine for *all* nets: replays the fault and
+    /// returns the full net-value slice (the nets a difference reached
+    /// hold faulty values, the rest equal the good machine — which is
+    /// exactly what an unobservable net is).
     pub fn eval_faulty_all(&mut self, fault: &PreparedFault<'_>) -> &[u64] {
         self.inject_and_replay(fault);
-        self.synced = false;
         &self.faulty[..self.net.compiled().net_count as usize * self.width]
     }
 }
@@ -897,6 +985,195 @@ mod tests {
                 assert_eq!(ev.po_word(po, w), ev1.po_word(po, 0), "word {w} po {po}");
             }
         }
+    }
+
+    /// A faulty gate function nested `depth` levels deep over inputs 0
+    /// and 1: its private tape needs more scratch slots than any cell of
+    /// a random domino network.
+    fn deep_function(depth: usize) -> Bexpr {
+        let x = |i: usize| Bexpr::var(dynmos_logic::VarId(i as u32 % 2));
+        (0..depth).fold(x(0), |f, k| {
+            Bexpr::or(vec![Bexpr::and(vec![Bexpr::not(f), x(k)]), x(k + 1)])
+        })
+    }
+
+    /// `all_faults` plus one deep gate-function fault per gate.
+    fn faults_with_deep_tapes(net: &Network) -> Vec<NetworkFault> {
+        let mut faults = all_faults(net);
+        for gi in 0..net.gates().len() {
+            faults.push(NetworkFault::GateFunction(
+                GateRef(gi as u32),
+                deep_function(8),
+            ));
+        }
+        faults
+    }
+
+    /// Four 64-lane batches for `net`. With `pinned`, input 0 is 0 and
+    /// input 1 is 1 in every lane, so stuck-at-0 on input 0 and
+    /// stuck-at-1 on input 1 are never activated.
+    fn narrow_batches(net: &Network, seed: u64, pinned: bool) -> Vec<Vec<u64>> {
+        let n = net.primary_inputs().len();
+        (0..4)
+            .map(|w| {
+                let mut batch = batch_for(seed.wrapping_mul(31).wrapping_add(w), n);
+                if pinned {
+                    batch[0] = 0;
+                    batch[1] = !0;
+                }
+                batch
+            })
+            .collect()
+    }
+
+    /// Seeded random networks: many small ones, and a few whose 150 gates
+    /// span three pending-bitset blocks.
+    fn replay_networks() -> impl Iterator<Item = (u64, Network)> {
+        let small = (0..24).map(|seed| (seed, random_domino_network(seed, 6, 20)));
+        small.chain((0..3).map(|seed| (seed, random_domino_network(seed, 8, 150))))
+    }
+
+    /// `narrow` (one word per input each) in the input-major wide layout.
+    fn widen(narrow: &[Vec<u64>]) -> Vec<u64> {
+        let (width, n) = (narrow.len(), narrow[0].len());
+        (0..n * width)
+            .map(|k| narrow[k % width][k / width])
+            .collect()
+    }
+
+    fn assert_clean(ev: &PackedEvaluator<'_>) {
+        assert!(ev.pending.iter().all(|&b| b == 0), "pending bits left");
+    }
+
+    /// The event-driven replay against the interpreter, at width 1 and
+    /// width 4, for every fault of seeded random networks: stuck-at on
+    /// primary inputs and outputs (activated and not), constant and
+    /// passthrough gate functions, and gate functions whose private tape
+    /// outgrows the shared scratch region.
+    #[test]
+    fn event_driven_replay_matches_reference_at_width_1_and_4() {
+        for (seed, net) in replay_networks() {
+            let faults = faults_with_deep_tapes(&net);
+            let po_nets = net.primary_outputs();
+            assert!(faults
+                .iter()
+                .any(|f| matches!(f, NetworkFault::NetStuck(n, _) if po_nets.contains(n))));
+            for fault in &faults[faults.len() - net.gates().len()..] {
+                let PreparedKind::GateFn { slots_needed, .. } = net.prepare_fault(fault).kind
+                else {
+                    unreachable!("deep faults are gate-function faults")
+                };
+                assert!(slots_needed as usize > net.compiled().slot_count());
+            }
+            for pinned in [false, true] {
+                let narrow = narrow_batches(&net, seed, pinned);
+                let good: Vec<Vec<u64>> = narrow
+                    .iter()
+                    .map(|b| net.eval_packed_all_reference(b, None))
+                    .collect();
+                let mut ev1 = PackedEvaluator::new(&net);
+                let mut ev4 = PackedEvaluator::with_width(&net, 4);
+                ev4.eval(&widen(&narrow));
+                for fault in &faults {
+                    let prepared = net.prepare_fault(fault);
+                    let bad: Vec<Vec<u64>> = narrow
+                        .iter()
+                        .map(|b| net.eval_packed_all_reference(b, Some(fault)))
+                        .collect();
+                    let expect: Vec<u64> = (0..4)
+                        .map(|w| {
+                            po_nets.iter().fold(0, |acc, po| {
+                                acc | (good[w][po.index()] ^ bad[w][po.index()])
+                            })
+                        })
+                        .collect();
+                    let unactivated = match fault {
+                        NetworkFault::NetStuck(n, v) => {
+                            good.iter().all(|g| g[n.index()] == if *v { !0 } else { 0 })
+                        }
+                        NetworkFault::GateFunction(..) => false,
+                    };
+                    let ctx = format!("seed {seed} pinned {pinned} {fault:?}");
+                    for w in 0..4 {
+                        ev1.eval(&narrow[w]);
+                        let before = ev1.gates_replayed();
+                        assert_eq!(ev1.fault_diff64(&prepared), expect[w], "{ctx} word {w}");
+                        let replayed = ev1.gates_replayed() - before;
+                        assert!(replayed <= prepared.cone_size() as u64, "{ctx}");
+                        if unactivated {
+                            assert_eq!(replayed, 0, "{ctx}");
+                        }
+                        assert_eq!(
+                            ev1.eval_faulty_all(&prepared),
+                            &bad[w][..],
+                            "{ctx} word {w}"
+                        );
+                        assert_eq!(ev1.net_values(), &good[w][..], "{ctx} word {w}");
+                        assert_clean(&ev1);
+                    }
+                    let before = ev4.gates_replayed();
+                    let mut diff = [0u64; 4];
+                    ev4.fault_diff(&prepared, &mut diff);
+                    assert_eq!(diff.to_vec(), expect, "{ctx} width 4");
+                    if unactivated {
+                        assert_eq!(ev4.gates_replayed(), before, "{ctx} width 4");
+                    }
+                    assert_eq!(ev4.eval_faulty_all(&prepared), &widen(&bad)[..], "{ctx}");
+                    assert_eq!(ev4.net_values(), &widen(&good)[..], "{ctx} width 4");
+                    assert_clean(&ev4);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn interleaved_calls_leave_the_evaluator_clean() {
+        // eval_faulty_all -> fault_diff64 -> a new eval: every answer must
+        // match a fresh evaluator, so no pending bit or touched slot of
+        // one call leaks into the next.
+        for (seed, net) in replay_networks() {
+            let faults = faults_with_deep_tapes(&net);
+            let n = net.primary_inputs().len();
+            let (a, b) = (batch_for(seed, n), batch_for(seed + 100, n));
+            let fresh = |batch: &[u64], fault: &NetworkFault| {
+                let mut ev = PackedEvaluator::new(&net);
+                ev.eval(batch);
+                let prepared = net.prepare_fault(fault);
+                (
+                    ev.fault_diff64(&prepared),
+                    ev.eval_faulty_all(&prepared).to_vec(),
+                )
+            };
+            let mut ev = PackedEvaluator::new(&net);
+            for (i, fault) in faults.iter().enumerate() {
+                let next = &faults[(i + 1) % faults.len()];
+                let (p, q) = (net.prepare_fault(fault), net.prepare_fault(next));
+                ev.eval(&a);
+                assert_eq!(ev.eval_faulty_all(&p), &fresh(&a, fault).1[..], "{fault:?}");
+                assert_eq!(ev.fault_diff64(&q), fresh(&a, next).0, "{next:?}");
+                assert_clean(&ev);
+                assert_eq!(ev.eval(&b), &net.eval_packed_all_reference(&b, None)[..]);
+                assert_eq!(ev.fault_diff64(&p), fresh(&b, fault).0, "{fault:?}");
+                assert_clean(&ev);
+            }
+        }
+    }
+
+    #[test]
+    fn unactivated_stuck_fault_replays_no_gates() {
+        let net = c17_dynamic_nmos();
+        let mut batch = batch_for(5, net.primary_inputs().len());
+        batch[0] = 0;
+        let mut ev = PackedEvaluator::new(&net);
+        ev.eval(&batch);
+        let unactivated =
+            net.prepare_fault(&NetworkFault::NetStuck(net.primary_inputs()[0], false));
+        assert_eq!(ev.fault_diff64(&unactivated), 0);
+        assert_eq!(ev.gates_replayed(), 0);
+        let activated = net.prepare_fault(&NetworkFault::NetStuck(net.primary_inputs()[0], true));
+        ev.fault_diff64(&activated);
+        let replayed = ev.gates_replayed();
+        assert!(replayed >= 1 && replayed <= activated.cone_size() as u64);
     }
 
     #[test]

@@ -10,10 +10,13 @@
 //!
 //! The simulator is serial-fault, parallel-pattern: each 64-pattern batch
 //! is evaluated once for the fault-free machine on the network's compiled
-//! instruction tape, and each live fault is then replayed *incrementally*
-//! — only its fanout cone's tape slice, comparing only the primary
-//! outputs the cone reaches ([`dynmos_netlist::PackedEvaluator`]). Fault
-//! dropping removes detected faults from the live list.
+//! instruction tape, and each live fault is then replayed *event-driven*
+//! — only the gates of its fanout cone that a difference from the good
+//! machine actually reaches, comparing only the primary outputs the
+//! cone reaches ([`dynmos_netlist::PackedEvaluator`]). A batch in which the
+//! fault is not activated costs one gate (or nothing, for a stuck-at
+//! fault its site already satisfies). Fault dropping removes detected
+//! faults from the live list.
 //!
 //! On top of that, [`FaultSimulator::run_random`] shards work over
 //! threads along whichever axis the two-axis planner
@@ -541,7 +544,8 @@ mod tests {
     use crate::budget::RunStatus;
     use crate::list::network_fault_list;
     use dynmos_netlist::generate::{
-        and_or_tree, c17_dynamic_nmos, domino_wide_and, fig9_cell, single_cell_network,
+        and_or_tree, array_multiplier, c17_dynamic_nmos, domino_wide_and, fig9_cell,
+        single_cell_network,
     };
 
     /// Index of the constant-0 gate-function class (the s0-z fault).
@@ -793,6 +797,44 @@ mod tests {
         let trunc = sim.run_random(&faults, &mut trunc_src, run.output.patterns_applied);
         assert_eq!(run.output.detected_at, trunc.detected_at);
         assert_eq!(run.output.coverage_curve, trunc.coverage_curve);
+    }
+
+    #[test]
+    fn top_off_escape_replays_a_small_share_of_its_cone() {
+        // The escape of a serial 2^16-pattern uniform run (seed 1) on
+        // array_multiplier(12), the fault a few-fault top-off run
+        // simulates, replayed over 256 batches with non-dyadic weights.
+        let net = array_multiplier(12);
+        let all = network_fault_list(&net);
+        let inputs = net.primary_inputs().len();
+        let uniform = FaultSimulator::with_parallelism(&net, Parallelism::Serial).run_random(
+            &all,
+            &mut PatternSource::uniform(1, inputs),
+            1 << 16,
+        );
+        let [escape] = uniform.escapes()[..] else {
+            panic!("expected one escape, got {:?}", uniform.escapes());
+        };
+        let prepared = net.prepare_fault(&all[escape].fault);
+        assert_eq!(prepared.cone_size(), 599, "{}", all[escape].label);
+        let weights = (0..inputs as u64)
+            .map(|i| 0.25 + 0.5 * (crate::chaos::mix64(7 ^ i) >> 11) as f64 / (1u64 << 53) as f64)
+            .collect();
+        let src = PatternSource::new(7, weights);
+        let mut ev = PackedEvaluator::new(&net);
+        let mut batch = vec![0u64; inputs];
+        const BATCHES: u64 = 256;
+        for k in 0..BATCHES {
+            src.fill_batch_at(k, &mut batch);
+            ev.eval(&batch);
+            ev.fault_diff64(&prepared);
+        }
+        let mean = ev.gates_replayed() as f64 / BATCHES as f64;
+        assert!(
+            mean < 0.05 * prepared.cone_size() as f64,
+            "{mean} gates replayed per batch of a {}-gate cone",
+            prepared.cone_size()
+        );
     }
 
     #[test]
